@@ -233,6 +233,23 @@ def partition_unit(salt: str, entity_id: str) -> float:
     return h / 2.0**64
 
 
+def check_fractions(fractions: Iterable[float]) -> tuple[float, ...]:
+    """``fractions`` as floats, after checking that there are 3 of them,
+    each finite and non-negative, summing to 1.
+
+    Raises:
+        ValueError: on any other fractions.
+    """
+    fr = tuple(float(f) for f in fractions)
+    if len(fr) != 3:
+        raise ValueError("fractions must have exactly 3 entries")
+    if any(not math.isfinite(f) or f < 0.0 for f in fr):
+        raise ValueError(f"fractions must be non-negative and finite, got {fr}")
+    if abs(sum(fr) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must sum to 1, got {fr} (sum {sum(fr)!r})")
+    return fr
+
+
 def partition_entities(
     dataset: "SnapshotDataset | Iterable[str]",
     fractions: tuple[float, float, float] = (0.70, 0.15, 0.15),
@@ -259,13 +276,7 @@ def partition_entities(
         entities = tuple(dict.fromkeys(str(e) for e in dataset))
     if not entities:
         raise ValueError("cannot partition an empty entity set")
-    fr = tuple(float(f) for f in fractions)
-    if len(fr) != 3:
-        raise ValueError("fractions must have exactly 3 entries")
-    if any(not math.isfinite(f) or f < 0.0 for f in fr):
-        raise ValueError(f"fractions must be non-negative and finite, got {fr}")
-    if abs(sum(fr) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fr} (sum {sum(fr)!r})")
+    fr = check_fractions(fractions)
     c_train = fr[0]
     c_val = fr[0] + fr[1]
     assignment: dict[str, str] = {}

@@ -97,8 +97,7 @@ def flip_flop_rate(
     """
     if not np.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau!r}")
-    if tuple(model.schema) != tuple(dataset.schema):
-        raise ValueError("model schema does not match dataset schema")
+    model.check_schema(dataset.schema)
     entities = sorted(set(entity_ids)) if entity_ids is not None else sorted(dataset.entities)
     if not entities:
         raise ValueError("cannot evaluate flip-flops on an empty entity set")
@@ -175,6 +174,7 @@ def tau_from_percentile(
     percentile: float = 50.0,
 ) -> float:
     """Admission threshold at a percentile of a model's score distribution."""
+    model.check_schema(dataset.schema)
     entities = sorted(set(entity_ids)) if entity_ids is not None else sorted(dataset.entities)
     if not entities:
         raise ValueError("cannot derive tau from an empty entity set")

@@ -175,6 +175,14 @@ def percentile_nearest_rank(values: Sequence[float] | np.ndarray, p: float) -> f
     return float(np.sort(arr, kind="stable")[rank - 1])
 
 
+def check_bootstrap_params(b: int, level: float) -> None:
+    """Raise ``ValueError`` unless ``b >= 2`` resamples and ``0 < level < 1``."""
+    if b < 2:
+        raise ValueError(f"bootstrap needs at least 2 resamples, got {b}")
+    if not (0.0 < level < 1.0):
+        raise ValueError(f"level must be in (0, 1), got {level!r}")
+
+
 def bootstrap_ci(
     statistic: Callable[[np.ndarray], float],
     entities: Sequence | np.ndarray,
@@ -200,10 +208,7 @@ def bootstrap_ci(
     n = arr.size
     if n < 2:
         raise ValueError(f"bootstrap needs at least 2 entities, got {n}")
-    if b < 2:
-        raise ValueError(f"bootstrap needs at least 2 resamples, got {b}")
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must be in (0, 1), got {level!r}")
+    check_bootstrap_params(b, level)
     point = float(statistic(arr))
     values = np.empty(b, dtype=np.float64)
     got = 0
@@ -290,10 +295,7 @@ def paired_delta_significance(
     n_ent = unique_ents.size
     if n_ent < 2:
         raise ValueError(f"paired bootstrap needs at least 2 entities, got {n_ent}")
-    if b < 2:
-        raise ValueError(f"bootstrap needs at least 2 resamples, got {b}")
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must be in (0, 1), got {level!r}")
+    check_bootstrap_params(b, level)
 
     point = pr_auc(sb, y) - pr_auc(sa, y)
     ap_a = _WeightedAp(sa, y)
@@ -355,10 +357,7 @@ def bootstrap_pr_auc_ci(
     n_ent = unique_ents.size
     if n_ent < 2:
         raise ValueError(f"bootstrap needs at least 2 entities, got {n_ent}")
-    if b < 2:
-        raise ValueError(f"bootstrap needs at least 2 resamples, got {b}")
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must be in (0, 1), got {level!r}")
+    check_bootstrap_params(b, level)
     point = pr_auc(s, y)
     helper = _WeightedAp(s, y)
     values = np.empty(b, dtype=np.float64)

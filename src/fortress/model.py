@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -223,14 +224,22 @@ class Tree:
 
 @dataclass
 class BoostedModel:
-    """A trained ensemble plus everything needed to reproduce its scores."""
+    """A trained ensemble plus everything needed to reproduce its scores.
+
+    ``rounds_reused`` counts the leading trees :func:`train` took over from
+    its ``warm_start`` model instead of growing them; it is not serialized.
+    """
 
     schema: tuple[str, ...]
     mask: np.ndarray
     base_score: float
     config: TrainConfig
     trees: list[Tree]
+    rounds_reused: int = field(default=0, repr=False, compare=False)
     _arena: tuple | None = field(default=None, repr=False, compare=False)
+    # weak reference to the TrainMatrix the model was trained on; a later
+    # train() may reuse its trees only on that same matrix
+    _matrix: weakref.ref | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_features(self) -> int:
@@ -238,6 +247,15 @@ class BoostedModel:
 
     def active_features(self) -> tuple[str, ...]:
         return tuple(n for n, m in zip(self.schema, self.mask) if m)
+
+    def check_schema(self, schema: Sequence[str]) -> None:
+        """Raise ``ValueError`` unless ``schema`` names the model's feature
+        columns in the model's order."""
+        if tuple(self.schema) != tuple(schema):
+            raise ValueError(
+                "model schema does not match dataset schema; "
+                f"model has {len(self.schema)} features, dataset {len(schema)}"
+            )
 
     def features_used(self) -> tuple[int, ...]:
         used: set[int] = set()
@@ -365,6 +383,7 @@ def train(
     config: TrainConfig | None = None,
     mask: np.ndarray | Sequence[bool] | None = None,
     schema: Sequence[str] | None = None,
+    warm_start: BoostedModel | None = None,
 ) -> BoostedModel:
     """Train a boosted-tree classifier.
 
@@ -377,6 +396,10 @@ def train(
             features. Defaults to all features active.
         schema: feature names for the model artifact; defaults to
             ``x0 .. xd-1``.
+        warm_start: an earlier model whose leading trees are taken over
+            where a fresh train would grow them identically (see
+            :func:`_reusable_prefix`). The result is the fresh train's model
+            either way; only the work done differs.
 
     Raises:
         ValueError: on shape problems, a single-class label vector, or an
@@ -413,7 +436,6 @@ def train(
     gamma = config.gain_threshold
     min_h = config.min_child_hessian
     lr = config.learning_rate
-    margins = np.full(n, base_score, dtype=np.float64)
     if schema is None:
         schema_t = tuple(f"x{j}" for j in range(d))
     else:
@@ -422,15 +444,23 @@ def train(
             raise ValueError(
                 f"schema has {len(schema_t)} names for {d} feature columns"
             )
+    prefix = _reusable_prefix(warm_start, tm, config, mask_arr)
     model = BoostedModel(
         schema=schema_t,
         mask=mask_arr.copy(),
         base_score=base_score,
         config=config,
-        trees=[],
+        trees=list(prefix),
+        rounds_reused=len(prefix),
+        _matrix=weakref.ref(tm),
     )
+    # Replaying the reused trees with the kernel that accumulated them during
+    # their own training reproduces the margins bit for bit.
+    margins = np.full(n, base_score, dtype=np.float64)
+    for tree in prefix:
+        margins = margins + _tree_margin(tree, tm.X)
 
-    for round_ix in range(config.rounds):
+    for round_ix in range(len(prefix), config.rounds):
         p = _sigmoid(margins)
         g = p - tm.y
         h = p * (1.0 - p)
@@ -482,11 +512,43 @@ def train(
         grow(root_mask, 0)
         tree = builder.finish()
         model.trees.append(tree)
-        model._arena = None
         margins = margins + _tree_margin(tree, tm.X)
 
-    model._arena = None
     return model
+
+
+def _reusable_prefix(
+    prior: BoostedModel | None, tm: TrainMatrix, config: TrainConfig, mask: np.ndarray
+) -> list[Tree]:
+    """Leading trees of ``prior`` that training on (tm, config, mask) would
+    grow identically.
+
+    Training is a pure function of (data, mask, config), and the split search
+    keeps the first feature, in index order, that reaches the best gain. So
+    when ``mask`` only drops features from ``prior``'s mask, every split that
+    chose a kept feature (and every leaf, whose best gain can only fall)
+    comes out the same, as long as the margins entering the round are the
+    same: all trees before the first one that splits on a dropped feature are
+    rebuilt unchanged. The per-round row draw, ``spawn(seed, round)``, does
+    not depend on the mask, but the column draw samples from the active
+    features, so nothing is reused when ``col_subsample < 1``.
+    """
+    if (
+        prior is None
+        or prior._matrix is None
+        or prior._matrix() is not tm
+        or prior.config != config
+        or config.col_subsample < 1.0
+        or np.any(mask & ~prior.mask)
+    ):
+        return []
+    dropped = prior.mask & ~mask
+    prefix = []
+    for tree in prior.trees:
+        if np.any(dropped[tree.feature[tree.feature >= 0]]):
+            break
+        prefix.append(tree)
+    return prefix
 
 
 def _tree_margin(tree: Tree, X: np.ndarray) -> np.ndarray:

@@ -12,6 +12,13 @@ baseline. Two acceptance gates exist:
 * ``noninferior``: accept if the PR-AUC change is non-inferior (lower bound
   above ``-epsilon``) and the VAL mean entity score CV strictly decreased.
 
+A candidate retrain starts from the current model's trees: every tree before
+the first one that splits on the removed feature is taken over unchanged,
+and only the remaining rounds are grown. That is exact, because the removed
+feature won no split in those trees, but only while ``col_subsample == 1.0``:
+the per-round column draw depends on the active feature set, so with column
+subsampling each candidate is trained from round 0 (see ``model.train``).
+
 ``experiment_table`` reruns the surrounding comparisons (single-snapshot and
 multi-snapshot trainings, full and stable-only feature sets) and evaluates
 everything on the same TEST partition.
@@ -32,6 +39,7 @@ from fortress.data import (
     TEST,
     PartitionAssignment,
     SnapshotDataset,
+    check_fractions,
     latest_snapshot_view,
     partition_entities,
     rows_in_partition,
@@ -40,13 +48,19 @@ from fortress.metrics import (
     ConfidenceInterval,
     bootstrap_ci,
     bootstrap_pr_auc_ci,
+    check_bootstrap_params,
     cv,
     paired_delta_significance,
     pr_auc,
 )
 from fortress.model import BoostedModel, TrainConfig, TrainMatrix, mask_from_names, train
 from fortress.rng import mix64
-from fortress.stability import StabilityReport, build_stability_report, prune_candidates
+from fortress.stability import (
+    StabilityReport,
+    build_stability_report,
+    check_candidate_count,
+    prune_candidates,
+)
 
 log = logging.getLogger(__name__)
 
@@ -91,6 +105,9 @@ class PipelineConfig:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if not (0.0 < self.percentile <= 100.0):
             raise ValueError(f"percentile must be in (0, 100], got {self.percentile}")
+        check_candidate_count(self.candidates)
+        check_fractions(self.fractions)
+        check_bootstrap_params(self.bootstrap_b, self.level)
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -108,10 +125,7 @@ class PipelineConfig:
         if "train" in kwargs:
             kwargs["train"] = TrainConfig.from_dict(dict(kwargs["train"]))
         if "fractions" in kwargs:
-            fractions = tuple(float(f) for f in kwargs["fractions"])
-            if len(fractions) != 3:
-                raise ValueError("fractions must have exactly 3 entries")
-            kwargs["fractions"] = fractions
+            kwargs["fractions"] = check_fractions(kwargs["fractions"])
         return cls(**kwargs)
 
 
@@ -329,7 +343,10 @@ def _fortress_core(
     for i, cand in enumerate(candidates):
         tentative_mask = cur_mask.copy()
         tentative_mask[col_of[cand]] = False
-        tentative = train(tm, config=cfg.train, mask=tentative_mask, schema=dataset.schema)
+        tentative = train(
+            tm, config=cfg.train, mask=tentative_mask, schema=dataset.schema,
+            warm_start=cur_model,
+        )
         scores2 = tentative.predict(X_val)
         outcome = paired_delta_significance(
             cur_scores,
@@ -359,9 +376,11 @@ def _fortress_core(
             )
         )
         log.info(
-            "prune %d/%d %s: delta=[%.5f, %.5f] candidate_cv=%.4f %s",
-            i + 1, len(candidates), cand, outcome.delta.lo, outcome.delta.hi,
-            cv2, "ACCEPT" if accepted else "reject",
+            "prune %d/%d %s: rounds reused=%d trained=%d delta=[%.5f, %.5f] "
+            "candidate_cv=%.4f %s",
+            i + 1, len(candidates), cand, tentative.rounds_reused,
+            len(tentative.trees) - tentative.rounds_reused, outcome.delta.lo,
+            outcome.delta.hi, cv2, "ACCEPT" if accepted else "reject",
         )
 
     trace = PruneTrace(
@@ -398,7 +417,12 @@ def evaluate_model(
 
     ``mean_entity_cv`` is None when no selected entity has 2 or more
     snapshots (stability is undefined on single-snapshot data).
+
+    Raises:
+        ValueError: a model schema that differs from the dataset's, an empty
+            entity set, or bad bootstrap parameters.
     """
+    model.check_schema(dataset.schema)
     entities = sorted(set(entity_ids))
     if not entities:
         raise ValueError("cannot evaluate on an empty entity set")

@@ -82,11 +82,7 @@ def score_entity_series(
     Raises:
         ValueError: schema mismatch or unknown entity ids.
     """
-    if tuple(model.schema) != tuple(dataset.schema):
-        raise ValueError(
-            "model schema does not match dataset schema; "
-            f"model has {len(model.schema)} features, dataset {len(dataset.schema)}"
-        )
+    model.check_schema(dataset.schema)
     entities = sorted(set(entity_ids)) if entity_ids is not None else list(dataset.entities)
     if not entities:
         return {}
@@ -174,6 +170,16 @@ def per_feature_cv(
     return tuple((names[i], aggregated[i][0]) for i in order)
 
 
+def check_candidate_count(k: int | str) -> None:
+    """Raise ``ValueError`` unless ``k`` is ``"auto"`` or an integer >= 1."""
+    if k == AUTO:
+        return
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"candidate count must be {AUTO!r} or an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"candidate count must be >= 1, got {k}")
+
+
 def prune_candidates(
     ranking: Sequence[tuple[str, float]], k: int | str = AUTO
 ) -> tuple[str, ...]:
@@ -182,16 +188,13 @@ def prune_candidates(
     ``k="auto"`` takes the top half, rounded up.
 
     Raises:
-        ValueError: empty ranking, k < 1, or k beyond the ranking length.
+        ValueError: empty ranking, k neither ``"auto"`` nor an integer >= 1,
+            or k beyond the ranking length.
     """
     if not ranking:
         raise ValueError("cannot pick candidates from an empty ranking")
-    if k == AUTO:
-        k_eff = math.ceil(len(ranking) / 2)
-    else:
-        k_eff = int(k)
-    if k_eff < 1:
-        raise ValueError(f"candidate count must be >= 1, got {k_eff}")
+    check_candidate_count(k)
+    k_eff = math.ceil(len(ranking) / 2) if k == AUTO else int(k)
     if k_eff > len(ranking):
         raise ValueError(
             f"candidate count {k_eff} exceeds ranking length {len(ranking)}"

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fortress.model import (
     BoostedModel,
@@ -301,6 +303,108 @@ class TestDeterminismAndSubsampling:
         b = serialize(train(X, y, TrainConfig(rounds=8, seed=2)))
         a["config"]["seed"] = b["config"]["seed"] = 0
         assert dumps_canonical(a) == dumps_canonical(b)
+
+
+def _train_configs(col_subsample):
+    return st.builds(
+        TrainConfig,
+        rounds=st.integers(1, 8),
+        max_depth=st.integers(1, 3),
+        learning_rate=st.sampled_from([0.1, 0.5, 1.0]),
+        l2_lambda=st.sampled_from([0.5, 1.0]),  # 0 with min_child_hessian 0 can divide by 0
+        min_child_hessian=st.sampled_from([0.0, 1.0]),
+        gain_threshold=st.sampled_from([0.0, 0.05]),
+        row_subsample=st.sampled_from([1.0, 0.7]),
+        col_subsample=col_subsample,
+        seed=st.integers(0, 1000),
+    )
+
+
+@st.composite
+def _warm_start_cases(draw, col_subsample=st.just(1.0)):
+    """(matrix, config, mask): random data with ties, missing values, a
+    duplicated column (equal gains across features) and an active constant
+    column (never splittable), and a mask with at least three active
+    features."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(30, 100))
+    d = draw(st.integers(4, 7))
+    constant = draw(st.integers(1, d - 3))
+    X = np.floor(rng.random((n, d)) * draw(st.sampled_from([4, 1000])))
+    X[:, d - 2] = X[:, 0]
+    X[:, constant] = 1.0
+    X[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.2]))] = np.nan
+    y = (np.nan_to_num(X) @ rng.normal(size=d) + rng.normal(size=n) > 0).astype(float)
+    y[:2] = (0.0, 1.0)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)), dtype=np.bool_)
+    mask[[0, constant, d - 1]] = True
+    return TrainMatrix(X, y), draw(_train_configs(col_subsample)), mask
+
+
+def _without(mask, j):
+    out = mask.copy()
+    out[j] = False
+    return out
+
+
+class TestWarmStart:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_warm_start_cases(st.sampled_from([1.0, 0.7])), data=st.data())
+    def test_retrain_from_prefix_equals_fresh_train(self, case, data):
+        tm, cfg, mask = case
+        prior = train(tm, config=cfg, mask=mask)
+        drop = data.draw(st.sampled_from(np.nonzero(mask)[0].tolist()))
+        after = _without(mask, drop)
+        warm = train(tm, config=cfg, mask=after, warm_start=prior)
+        fresh = train(tm, config=cfg, mask=after)
+        assert dumps_canonical(serialize(warm)) == dumps_canonical(serialize(fresh))
+        if cfg.col_subsample == 1.0:
+            # every tree before the first split on the dropped feature is reused
+            clean = [drop not in tree.feature for tree in prior.trees] + [False]
+            assert warm.rounds_reused == clean.index(False)
+            assert all(a is b for a, b in zip(warm.trees[:warm.rounds_reused], prior.trees))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_warm_start_cases(), data=st.data())
+    def test_unused_feature_trains_zero_rounds(self, case, data):
+        tm, cfg, mask = case
+        prior = train(tm, config=cfg, mask=mask)
+        unused = sorted(set(np.nonzero(mask)[0].tolist()) - set(prior.features_used()))
+        warm = train(tm, config=cfg, mask=_without(mask, data.draw(st.sampled_from(unused))),
+                     warm_start=prior)
+        assert warm.rounds_reused == cfg.rounds
+        assert all(a is b for a, b in zip(warm.trees, prior.trees))
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_warm_start_cases(st.sampled_from([0.5, 0.7, 0.9])), data=st.data())
+    def test_column_subsampling_reuses_no_tree(self, case, data):
+        tm, cfg, mask = case
+        prior = train(tm, config=cfg, mask=mask)
+        drop = data.draw(st.sampled_from(np.nonzero(mask)[0].tolist()))
+        warm = train(tm, config=cfg, mask=_without(mask, drop), warm_start=prior)
+        assert warm.rounds_reused == 0
+        assert not any(a is b for a, b in zip(warm.trees, prior.trees))
+
+    def test_prior_from_elsewhere_is_not_reused(self, rng):
+        X = rng.random((120, 4))
+        X[:, 3] = 0.5  # never split on, so dropping it reuses every tree
+        y = (X[:, 0] + X[:, 1] > 1.0).astype(float)
+        tm = TrainMatrix(X, y)
+        cfg = TrainConfig(rounds=6)
+        prior = train(tm, config=cfg)
+        mask = np.array([True, True, True, False])
+        unusable = [
+            train(TrainMatrix(X, y), config=cfg),  # another matrix, same values
+            train(tm, config=TrainConfig(rounds=6, learning_rate=0.2)),
+            train(tm, config=cfg, mask=[True, True, False, True]),  # mask would add x2
+            deserialize(serialize(prior)),  # no training matrix attached
+        ]
+        fresh = dumps_canonical(serialize(train(tm, config=cfg, mask=mask)))
+        assert train(tm, config=cfg, mask=mask, warm_start=prior).rounds_reused == 6
+        for other in unusable:
+            warm = train(tm, config=cfg, mask=mask, warm_start=other)
+            assert warm.rounds_reused == 0
+            assert dumps_canonical(serialize(warm)) == fresh
 
 
 class TestSerialization:

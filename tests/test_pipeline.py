@@ -5,8 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fortress.data import TEST, build_dataset, latest_snapshot_view, partition_entities
-from fortress.model import TrainConfig, dumps_canonical, serialize
+from fortress.data import (
+    TEST,
+    TRAIN,
+    build_dataset,
+    latest_snapshot_view,
+    partition_entities,
+    rows_in_partition,
+)
+from fortress.model import (
+    TrainConfig,
+    TrainMatrix,
+    dumps_canonical,
+    mask_from_names,
+    serialize,
+    train,
+)
 from fortress.pipeline import (
     NON_INFERIOR,
     ROW_ALL_MULTI,
@@ -70,16 +84,27 @@ class TestPipelineConfig:
         assert clone == FAST
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, match",
         [
-            {"mode": "relaxed"},
-            {"epsilon": -0.001},
-            {"percentile": 0.0},
-            {"percentile": 101.0},
+            ({"mode": "relaxed"}, "mode"),
+            ({"epsilon": -0.001}, "epsilon"),
+            ({"percentile": 0.0}, "percentile"),
+            ({"percentile": 101.0}, "percentile"),
+            ({"bootstrap_b": 1}, "at least 2 resamples, got 1"),
+            ({"level": 1.5}, "level"),
+            ({"level": 0.0}, "level"),
+            ({"candidates": 0}, "candidate count must be >= 1"),
+            ({"candidates": "many"}, "candidate count"),
+            ({"candidates": True}, "candidate count"),
+            ({"fractions": (0.5, 0.5, 0.5)}, "sum to 1"),
+            ({"fractions": (0.5, 0.5)}, "exactly 3"),
+            ({"fractions": (1.2, -0.1, -0.1)}, "non-negative"),
+            ({"fractions": (float("nan"), 0.5, 0.5)}, "finite"),
         ],
     )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_values(self, kwargs, match):
+        # raised at construction, before any training
+        with pytest.raises(ValueError, match=match):
             PipelineConfig(**kwargs)
 
     def test_from_dict_rejects_unknown_and_bad_fractions(self):
@@ -145,6 +170,19 @@ class TestFortressRun:
         assert dumps_canonical(second.trace.to_dict()) == dumps_canonical(
             first.trace.to_dict()
         )
+
+    def test_final_model_equals_fresh_train(self, small_run):
+        # candidates are retrained from the current model's trees; the result
+        # must still be the model a fresh train with the final mask gives
+        dataset, result = small_run
+        rows = rows_in_partition(dataset, result.partition, TRAIN)
+        fresh = train(
+            TrainMatrix(dataset.X[rows], dataset.binary_labels()[rows]),
+            config=FAST.train,
+            mask=mask_from_names(dataset.schema, result.trace.final_features),
+            schema=dataset.schema,
+        )
+        assert dumps_canonical(serialize(result.model)) == dumps_canonical(serialize(fresh))
 
     def test_trace_document_shape(self, small_run):
         _, result = small_run
@@ -212,6 +250,16 @@ class TestEvaluateModel:
         rep_b = evaluate_model(result.model, dataset, test_ents, b=100, seed=2)
         assert rep_a.pr_auc.point == rep_b.pr_auc.point
         assert (rep_a.pr_auc.lo, rep_a.pr_auc.hi) != (rep_b.pr_auc.lo, rep_b.pr_auc.hi)
+
+    def test_reordered_feature_columns_rejected(self, small_run):
+        dataset, result = small_run
+        reversed_cols = build_dataset(
+            dataset.schema[::-1], dataset.snapshot_kind, dataset.entity_ids,
+            dataset.snapshot_ids, dataset.regions, dataset.labels,
+            dataset.X[:, ::-1], sort=False, validate=False,
+        )
+        with pytest.raises(ValueError, match="model schema does not match dataset schema"):
+            evaluate_model(result.model, reversed_cols, result.partition.entities_in(TEST))
 
     def test_single_snapshot_entities_have_no_cv_interval(self, small_run):
         dataset, result = small_run
