@@ -144,10 +144,18 @@ def pr_auc(scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndar
     ends = np.nonzero(np.append(_block_boundaries(s_sorted), True))[0]
     tp = np.cumsum(y_sorted)[ends]
     k = (ends + 1).astype(np.float64)
-    recall = tp / pos
-    d_recall = np.diff(recall, prepend=0.0)
+    d_recall = _increments(tp / pos)
     precision = tp / k
     return float(np.sum(d_recall * precision))
+
+
+def _increments(recall: np.ndarray) -> np.ndarray:
+    """``np.diff(recall, prepend=0.0)`` bit for bit, without its concatenate:
+    the first increment is ``recall[0] - 0.0``, which is ``recall[0]``."""
+    d = np.empty_like(recall)
+    d[0] = recall[0]
+    np.subtract(recall[1:], recall[:-1], out=d[1:])
+    return d
 
 
 def _block_boundaries(s_sorted: np.ndarray) -> np.ndarray:
@@ -255,8 +263,7 @@ class _WeightedAp:
         pos = tp[-1]
         if pos == 0.0:
             raise ValueError("no positive rows in resample")
-        recall = tp / pos
-        d_recall = np.diff(recall, prepend=0.0)
+        d_recall = _increments(tp / pos)
         contributes = d_recall > 0.0
         return float(np.sum(d_recall[contributes] * (tp[contributes] / k[contributes])))
 

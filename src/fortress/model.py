@@ -69,6 +69,14 @@ class TrainConfig:
             raise ValueError(
                 f"min_child_hessian must be >= 0, got {self.min_child_hessian}"
             )
+        if self.l2_lambda == 0.0 and self.min_child_hessian == 0.0:
+            # with both at 0 a split may make a child whose rows all have
+            # saturated scores (hessian sum 0); its gain and leaf weight
+            # would then divide by 0
+            raise ValueError(
+                "l2_lambda and min_child_hessian must not both be 0; "
+                "set either above 0"
+            )
         if not (0.0 < self.row_subsample <= 1.0):
             raise ValueError(f"row_subsample must be in (0, 1], got {self.row_subsample}")
         if not (0.0 < self.col_subsample <= 1.0):
@@ -256,6 +264,23 @@ class BoostedModel:
                 "model schema does not match dataset schema; "
                 f"model has {len(self.schema)} features, dataset {len(schema)}"
             )
+
+    def with_trees(
+        self, mask: np.ndarray, trees: Sequence[Tree], rounds_reused: int
+    ) -> "BoostedModel":
+        """The model :func:`train` returns for ``mask`` on this model's matrix
+        and config, given the ``trees`` it grew (in another process, say).
+        The result is bound to the same matrix, so it can warm-start later
+        trains."""
+        return BoostedModel(
+            schema=self.schema,
+            mask=np.array(mask, dtype=np.bool_),
+            base_score=self.base_score,
+            config=self.config,
+            trees=list(trees),
+            rounds_reused=rounds_reused,
+            _matrix=self._matrix,
+        )
 
     def features_used(self) -> tuple[int, ...]:
         used: set[int] = set()
@@ -510,6 +535,9 @@ def train(
             return node
 
         grow(root_mask, 0)
+        # grow refers to itself; without this the cycle keeps g, h and tm
+        # alive until a cyclic collection, which may come many trains later
+        del grow
         tree = builder.finish()
         model.trees.append(tree)
         margins = margins + _tree_margin(tree, tm.X)

@@ -19,6 +19,15 @@ feature won no split in those trees, but only while ``col_subsample == 1.0``:
 the per-round column draw depends on the active feature set, so with column
 subsampling each candidate is trained from round 0 (see ``model.train``).
 
+Candidates are evaluated ahead of the one being decided, on forked worker
+processes: one per CPU in the process's affinity set (``taskset`` restricts
+them), at most one per candidate left. The gate still commits strictly in
+candidate order. An acceptance drops the results computed against the old
+model and restarts from the next candidate, so every artifact is
+byte-identical to a serial pass. With one CPU, without ``fork``, inside a
+daemonic process, or while other threads run, the pass runs serially in the
+calling process.
+
 ``experiment_table`` reruns the surrounding comparisons (single-snapshot and
 multi-snapshot trainings, full and stable-only feature sets) and evaluates
 everything on the same TEST partition.
@@ -26,10 +35,14 @@ everything on the same TEST partition.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import logging
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +63,7 @@ from fortress.metrics import (
     bootstrap_pr_auc_ci,
     check_bootstrap_params,
     cv,
+    mean_entity_cv,
     paired_delta_significance,
     pr_auc,
 )
@@ -266,20 +280,99 @@ def _entity_scores_by_block(
     return out
 
 
-def _mean_entity_cv_of(
-    dataset: SnapshotDataset, entities: Sequence[str], scores: np.ndarray
-) -> float:
-    cvs = []
-    offset = 0
-    for e in entities:
-        start, stop = dataset.entity_rows(e)
-        k = stop - start
-        if k >= 2:
-            cvs.append(cv(scores[offset:offset + k]))
-        offset += k
-    if not cvs:
-        raise ValueError("no entity has 2 or more snapshots; mean CV undefined")
-    return float(np.mean(cvs))
+def _worker_count() -> int:
+    """CPUs this process may run on (its affinity set, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _in_candidate_order(
+    evaluate: Callable[[int], Any], indices: range
+) -> Iterator[Iterator[Any]]:
+    """Yield an iterator of ``evaluate(i)`` for ``i`` in ``indices``, in order.
+
+    With more than one worker the evaluations run ahead on forked worker
+    processes, which inherit ``evaluate`` and its state instead of receiving
+    it pickled; only the index goes in and the result comes back. This
+    process starts no thread for them: it hands the next index to whichever
+    worker is idle while it waits for the result it needs. Leaving the block
+    terminates the workers, dropping the evaluations still in flight. With
+    one worker, without ``fork``, inside a daemonic process (which may not
+    have children), or while other threads run (a fork copies only the
+    calling thread, so a lock another thread holds would stay locked in the
+    child) the same results come from ``map`` in this process.
+    """
+    workers = min(_worker_count(), len(indices))
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+
+        if (
+            "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+        ):
+            ctx = multiprocessing.get_context("fork")
+            procs, conns = [], []
+            try:
+                for _ in range(workers):
+                    conn, child_conn = ctx.Pipe()
+                    conns.append(conn)
+                    procs.append(ctx.Process(
+                        target=_serve, args=(evaluate, child_conn), daemon=True
+                    ))
+                    procs[-1].start()
+                    child_conn.close()
+                yield _dispatch(conns, indices)
+            finally:
+                for p in procs:
+                    p.terminate()
+                for p in procs:
+                    p.join()
+                for conn in conns:
+                    conn.close()
+            return
+    yield map(evaluate, indices)
+
+
+def _serve(evaluate: Callable[[int], Any], conn) -> None:
+    """Worker loop: answer each index with ``(True, result)`` or
+    ``(False, exception)`` until the other end closes."""
+    while True:
+        try:
+            i = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, evaluate(i))
+        except Exception as exc:
+            reply = (False, exc)
+        conn.send(reply)
+
+
+def _dispatch(conns: list, indices: range) -> Iterator[Any]:
+    """Results for ``indices`` in order, from workers fed one index at a time."""
+    from multiprocessing.connection import wait
+
+    todo = iter(indices)
+    busy: dict = {}  # connection -> the index its worker is evaluating
+    done: dict[int, tuple[bool, Any]] = {}
+    for conn, i in zip(conns, todo):
+        conn.send(i)
+        busy[conn] = i
+    for i in indices:
+        while i not in done:
+            for conn in wait(list(busy)):
+                done[busy.pop(conn)] = conn.recv()
+                nxt = next(todo, None)
+                if nxt is not None:
+                    conn.send(nxt)
+                    busy[conn] = nxt
+        ok, value = done.pop(i)
+        if not ok:
+            raise value
+        yield value
 
 
 def fortress_run(
@@ -333,23 +426,27 @@ def _fortress_core(
 
     cur_model = baseline
     cur_scores = baseline.predict(X_val)
-    cur_cv = _mean_entity_cv_of(dataset, val_entities, cur_scores)
+    cur_cv = mean_entity_cv(_entity_scores_by_block(dataset, val_entities, cur_scores))
     cur_mask = baseline.mask.copy()
     initial_ap = pr_auc(cur_scores, y_val)
     initial_cv = cur_cv
     col_of = {name: j for j, name in enumerate(dataset.schema)}
 
-    iterations: list[PruneIteration] = []
-    for i, cand in enumerate(candidates):
-        tentative_mask = cur_mask.copy()
-        tentative_mask[col_of[cand]] = False
+    def without(mask: np.ndarray, i: int) -> np.ndarray:
+        out = mask.copy()
+        out[col_of[candidates[i]]] = False
+        return out
+
+    def evaluate(model: BoostedModel, scores: np.ndarray, mask: np.ndarray, i: int):
+        """Candidate ``i`` against the state (model, scores, mask): retrain
+        without it, score VAL, and compare."""
         tentative = train(
-            tm, config=cfg.train, mask=tentative_mask, schema=dataset.schema,
-            warm_start=cur_model,
+            tm, config=cfg.train, mask=without(mask, i), schema=dataset.schema,
+            warm_start=model,
         )
         scores2 = tentative.predict(X_val)
         outcome = paired_delta_significance(
-            cur_scores,
+            scores,
             scores2,
             y_val,
             ents_val,
@@ -357,31 +454,44 @@ def _fortress_core(
             seed=mix64(cfg.seed, i),
             level=cfg.level,
         )
-        cv2 = _mean_entity_cv_of(dataset, val_entities, scores2)
-        if cfg.mode == STRICT:
-            accepted = outcome.significant_improvement
-        else:
-            accepted = (outcome.delta.lo > -cfg.epsilon) and (cv2 < cur_cv)
-        if accepted:
-            cur_model, cur_scores, cur_cv, cur_mask = tentative, scores2, cv2, tentative_mask
-        iterations.append(
-            PruneIteration(
-                candidate=cand,
-                delta=outcome.delta,
-                accepted=accepted,
-                features_after=tuple(
-                    n for n, m in zip(dataset.schema, cur_mask) if m
-                ),
-                val_mean_cv_after=cur_cv,
-            )
-        )
-        log.info(
-            "prune %d/%d %s: rounds reused=%d trained=%d delta=[%.5f, %.5f] "
-            "candidate_cv=%.4f %s",
-            i + 1, len(candidates), cand, tentative.rounds_reused,
-            len(tentative.trees) - tentative.rounds_reused, outcome.delta.lo,
-            outcome.delta.hi, cv2, "ACCEPT" if accepted else "reject",
-        )
+        cv2 = mean_entity_cv(_entity_scores_by_block(dataset, val_entities, scores2))
+        return outcome, cv2, scores2, tentative.trees, tentative.rounds_reused
+
+    iterations: list[PruneIteration] = []
+    start = 0
+    while start < len(candidates):
+        step = functools.partial(evaluate, cur_model, cur_scores, cur_mask)
+        with _in_candidate_order(step, range(start, len(candidates))) as results:
+            for i, (outcome, cv2, scores2, trees, reused) in enumerate(results, start):
+                if cfg.mode == STRICT:
+                    accepted = outcome.significant_improvement
+                else:
+                    accepted = (outcome.delta.lo > -cfg.epsilon) and (cv2 < cur_cv)
+                if accepted:
+                    cur_mask = without(cur_mask, i)
+                    cur_model = cur_model.with_trees(cur_mask, trees, reused)
+                    cur_scores, cur_cv = scores2, cv2
+                iterations.append(
+                    PruneIteration(
+                        candidate=candidates[i],
+                        delta=outcome.delta,
+                        accepted=accepted,
+                        features_after=tuple(
+                            n for n, m in zip(dataset.schema, cur_mask) if m
+                        ),
+                        val_mean_cv_after=cur_cv,
+                    )
+                )
+                log.info(
+                    "prune %d/%d %s: rounds reused=%d trained=%d delta=[%.5f, %.5f] "
+                    "candidate_cv=%.4f %s",
+                    i + 1, len(candidates), candidates[i], reused, len(trees) - reused,
+                    outcome.delta.lo, outcome.delta.hi, cv2,
+                    "ACCEPT" if accepted else "reject",
+                )
+                if accepted:
+                    break  # later results were computed against the old state
+        start = i + 1
 
     trace = PruneTrace(
         mode=cfg.mode,

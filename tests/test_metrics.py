@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fortress.metrics import (
     ABS_MEAN_EPS,
     MEAN,
+    _increments,
     bootstrap_ci,
     bootstrap_pr_auc_ci,
     cv,
@@ -114,6 +117,24 @@ class TestPrAuc:
     def test_rejects_invalid_input(self, scores, labels):
         with pytest.raises(ValueError):
             pr_auc(scores, labels)
+
+
+class TestRecallIncrements:
+    """``_increments`` replaces ``np.diff(recall, prepend=0.0)`` in the AP
+    sums, so it must agree with it bit for bit."""
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=60).filter(any))
+    def test_matches_diff_on_recall_curves_with_ties(self, positives_per_block):
+        # a block without positives repeats the previous recall exactly
+        tp = np.cumsum(np.array(positives_per_block, dtype=np.float64))
+        recall = tp / tp[-1]
+        assert _increments(recall).tobytes() == np.diff(recall, prepend=0.0).tobytes()
+
+    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=40))
+    def test_matches_diff_on_any_floats(self, values):
+        x = np.array(values, dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert _increments(x).tobytes() == np.diff(x, prepend=0.0).tobytes()
 
 
 class TestPercentileNearestRank:

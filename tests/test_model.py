@@ -67,6 +67,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    def test_rejects_zero_lambda_with_zero_min_child_hessian(self):
+        with pytest.raises(ValueError, match="must not both be 0"):
+            TrainConfig(l2_lambda=0.0, min_child_hessian=0.0)
+        TrainConfig(l2_lambda=0.0, min_child_hessian=1.0)
+        TrainConfig(l2_lambda=1.0, min_child_hessian=0.0)
+
     def test_dict_round_trip(self):
         cfg = TrainConfig(rounds=7, max_depth=2, learning_rate=0.3, seed=9)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
@@ -306,18 +312,22 @@ class TestDeterminismAndSubsampling:
 
 
 def _train_configs(col_subsample):
-    return st.builds(
+    # TrainConfig rejects l2_lambda == min_child_hessian == 0
+    regularization = st.tuples(
+        st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 1.0])
+    ).filter(lambda lam_h: lam_h != (0.0, 0.0))
+    return regularization.flatmap(lambda lam_h: st.builds(
         TrainConfig,
         rounds=st.integers(1, 8),
         max_depth=st.integers(1, 3),
         learning_rate=st.sampled_from([0.1, 0.5, 1.0]),
-        l2_lambda=st.sampled_from([0.5, 1.0]),  # 0 with min_child_hessian 0 can divide by 0
-        min_child_hessian=st.sampled_from([0.0, 1.0]),
+        l2_lambda=st.just(lam_h[0]),
+        min_child_hessian=st.just(lam_h[1]),
         gain_threshold=st.sampled_from([0.0, 0.05]),
         row_subsample=st.sampled_from([1.0, 0.7]),
         col_subsample=col_subsample,
         seed=st.integers(0, 1000),
-    )
+    ))
 
 
 @st.composite

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import logging
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
+from fortress import pipeline
 from fortress.data import (
     TEST,
     TRAIN,
@@ -34,6 +39,7 @@ from fortress.pipeline import (
     feature_groups,
     fortress_run,
 )
+from fortress.rng import mix64
 from fortress.synth import SynthConfig, generate
 
 SMALL_SYNTH = SynthConfig(n_entities=300, snapshots=4, seed=11)
@@ -324,3 +330,123 @@ class TestExperimentTable:
         row1 = result.row(ROW_SR_ONLY)
         row2 = result.row(ROW_ALL_SINGLE)
         assert row1.pr_auc.point == row2.pr_auc.point
+
+
+def _artifacts(result):
+    """Canonical bytes of what a fortress run or experiment table produced."""
+    if isinstance(result, pipeline.ExperimentResult):
+        models = [serialize(result.models[r.name]) for r in result.rows]
+        return (dumps_canonical(result.to_dict()), *map(dumps_canonical, models),
+                *_artifacts(result.fortress))
+    return (dumps_canonical(result.trace.to_dict()), dumps_canonical(serialize(result.model)),
+            dumps_canonical(serialize(result.baseline)))
+
+
+def _at_workers(monkeypatch, n, run):
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: n)
+    out = run()
+    assert multiprocessing.active_children() == []
+    return out
+
+
+def _in_daemon(queue, dataset):
+    try:
+        queue.put(_artifacts(fortress_run(dataset, FAST)))
+    except Exception as exc:  # report it, so the parent does not wait in vain
+        queue.put(repr(exc))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+class TestCandidateWorkers:
+    """Candidates evaluated ahead on worker processes commit exactly as the
+    serial loop does."""
+
+    CFG = PipelineConfig(
+        train=TrainConfig(rounds=25), bootstrap_b=120, candidates=8,
+        mode=NON_INFERIOR, seed=5,
+    )
+
+    def test_fortress_run_identical_across_worker_counts(self, monkeypatch):
+        dataset, _ = generate(SMALL_SYNTH)
+        runs = [_at_workers(monkeypatch, n, lambda: fortress_run(dataset, self.CFG))
+                for n in (1, 2, 3)]
+        accepted = [k for k, it in enumerate(runs[0].trace.iterations) if it.accepted]
+        # restarts after an acceptance, with candidates left to evaluate
+        assert accepted and accepted[0] < self.CFG.candidates - 1
+        assert _artifacts(runs[1]) == _artifacts(runs[0])
+        assert _artifacts(runs[2]) == _artifacts(runs[0])
+        # and later candidates were evaluated against the accepted state
+        result = runs[0]
+        rows = rows_in_partition(dataset, result.partition, TRAIN)
+        fresh = train(
+            TrainMatrix(dataset.X[rows], dataset.binary_labels()[rows]),
+            config=self.CFG.train,
+            mask=mask_from_names(dataset.schema, result.trace.final_features),
+            schema=dataset.schema,
+        )
+        assert dumps_canonical(serialize(result.model)) == dumps_canonical(serialize(fresh))
+
+    def test_experiment_table_identical_across_worker_counts(self, monkeypatch):
+        dataset, _ = generate(SMALL_SYNTH)
+        cfg = PipelineConfig(
+            train=TrainConfig(rounds=10, row_subsample=0.8, col_subsample=0.8),
+            bootstrap_b=60, candidates=5, seed=5,
+        )
+        serial, forked = (_at_workers(monkeypatch, n, lambda: experiment_table(dataset, cfg))
+                          for n in (1, 2))
+        assert _artifacts(forked) == _artifacts(serial)
+
+    def test_failing_candidate_raises_at_the_same_candidate(self, monkeypatch, caplog):
+        dataset, _ = generate(SMALL_SYNTH)
+        failing = {mix64(self.CFG.seed, i): i for i in range(2, 8)}
+        real = pipeline.paired_delta_significance
+
+        def paired(*args, seed, **kwargs):
+            if seed in failing:
+                raise ValueError(f"bootstrap failed at candidate {failing[seed]}")
+            return real(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(pipeline, "paired_delta_significance", paired)
+        caplog.set_level(logging.INFO, logger=pipeline.__name__)
+        for n in (1, 2):
+            caplog.clear()
+            with pytest.raises(ValueError, match="bootstrap failed at candidate 2$"):
+                _at_workers(monkeypatch, n, lambda: fortress_run(dataset, self.CFG))
+            assert multiprocessing.active_children() == []
+            committed = [r.getMessage().split()[1] for r in caplog.records
+                         if r.getMessage().startswith("prune ")]
+            assert committed == ["1/8", "2/8"]
+
+    def test_daemonic_process_falls_back_to_serial(self, monkeypatch):
+        # a daemonic process may not start children, so a pool there would fail
+        dataset, _ = generate(SMALL_SYNTH)
+        monkeypatch.setattr(pipeline, "_worker_count", lambda: 2)
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_in_daemon, args=(queue, dataset), daemon=True)
+        child.start()
+        got = queue.get(timeout=300)
+        child.join(timeout=60)
+        assert not child.is_alive()
+        assert got == _at_workers(monkeypatch, 1, lambda: _artifacts(fortress_run(dataset, FAST)))
+
+    def test_other_threads_keep_the_pass_serial(self, monkeypatch):
+        # forking now would copy locks the other thread may hold
+        dataset, _ = generate(SMALL_SYNTH)
+        serial = _at_workers(monkeypatch, 1, lambda: _artifacts(fortress_run(dataset, FAST)))
+
+        def no_pool(method=None):
+            raise AssertionError("a pool was started while another thread ran")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            assert _at_workers(monkeypatch, 2, lambda: _artifacts(fortress_run(dataset, FAST))) == serial
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
