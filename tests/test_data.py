@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import csv
+import datetime
 import functools
+import io
+import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fortress.data import (
+    _CHUNK_ROWS,
+    _parse_rows,
+    _screen_rows,
     Label,
     PartitionAssignment,
     SnapshotDataset,
@@ -28,6 +38,10 @@ from fortress.data import (
     write_csv,
 )
 from fortress.rng import mix64
+
+
+ID_CHARS = string.ascii_letters + string.digits + "_|.:-"
+LABEL_CODES = "0 (BAD), 1 (ACCEPTABLE), 2 (GOOD), 3 (EXCELLENT)"
 
 
 def _reference_fnv1a64(data: bytes) -> int:
@@ -103,6 +117,19 @@ class TestPartitioning:
         subset = partition_entities(self.IDS[::7])
         for e in self.IDS[::7]:
             assert subset.part_of(e) == full.part_of(e)
+
+    @given(
+        ids=st.lists(st.text(ID_CHARS, min_size=1, max_size=10), min_size=1, max_size=60,
+                     unique=True),
+        salt=st.text(max_size=8),
+        data=st.data(),
+    )
+    def test_any_subset_gets_the_same_parts(self, ids, salt, data):
+        subset = data.draw(st.lists(st.sampled_from(ids), min_size=1))
+        full = partition_entities(ids, salt=salt)
+        part = partition_entities(subset, salt=salt)
+        for e in subset:
+            assert part.part_of(e) == full.part_of(e)
 
     def test_salt_reshuffles(self):
         a = partition_entities(self.IDS, salt="fortress")
@@ -231,6 +258,54 @@ class TestBuildDataset:
                 np.array(["r", "r"]), np.array([1, 2]), np.zeros((2, 1)),
             )
 
+    @pytest.mark.parametrize("code", [9, -1, 257, 1.5])
+    def test_label_codes_outside_label_rejected(self, code):
+        with pytest.raises(ValueError) as exc:
+            build_dataset(
+                ("f_a",), "int",
+                np.array(["d", "e"]), np.array(["0", "1"]),
+                np.array(["r", "r"]), np.array([1, code]), np.zeros((2, 1)),
+            )
+        assert str(exc.value) == (
+            f"invalid label code {np.array([1, code])[1].item()!r} for entity 'e', "
+            f"expected one of {LABEL_CODES}"
+        )
+
+    @pytest.mark.parametrize(
+        "labels, snapshots, message",
+        [
+            # row 1 changes the label, row 3 repeats a snapshot: row 1 first
+            ([1, 2, 0, 0], ["0", "1", "0", "0"], "inconsistent label for entity np.str_('a')"),
+            ([1, 1, 0, 0], ["0", "1", "0", "0"], "duplicate (entity, snapshot) pair: (np.str_('b')"),
+            # one row with both faults reports the duplicate
+            ([1, 2, 0, 0], ["0", "0", "0", "1"], "duplicate (entity, snapshot) pair: (np.str_('a')"),
+        ],
+    )
+    def test_first_offending_row_is_reported(self, labels, snapshots, message):
+        with pytest.raises(ValueError) as exc:
+            build_dataset(
+                ("f_a",), "int", np.array(["a", "a", "b", "b"]), np.array(snapshots),
+                np.array(["r"] * 4), np.array(labels), np.zeros((4, 1)), sort=False,
+            )
+        assert str(exc.value).startswith(message)
+
+    @given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=30))
+    def test_index_matches_a_row_walk(self, ids):
+        # sort=False keeps repeated, non-contiguous blocks: the later block wins
+        n = len(ids)
+        ds = build_dataset(
+            ("f_a",), "int", np.array(ids, dtype=np.str_), np.array([str(i) for i in range(n)]),
+            np.array(["r"] * n, dtype=np.str_), np.zeros(n), np.zeros((n, 1)),
+            sort=False, validate=False,
+        )
+        expected: dict[str, tuple[int, int]] = {}
+        start = 0
+        for i in range(1, n + 1):
+            if i == n or ids[i] != ids[start]:
+                expected[ids[start]] = (start, i)
+                start = i
+        assert list(ds.index.items()) == list(expected.items())
+
     def test_shape_mismatches_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             build_dataset(
@@ -319,6 +394,188 @@ class TestCsv:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             parse_csv(tmp_path / "absent.csv")
+
+
+def _reference_write(ds: SnapshotDataset) -> str:
+    """The snapshot CSV written row by row with ``csv.writer``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["entity_id", "snapshot_id", "region", "label", *ds.schema])
+    for i in range(ds.n_rows):
+        writer.writerow(
+            [str(ds.entity_ids[i]), str(ds.snapshot_ids[i]), str(ds.regions[i]),
+             Label(int(ds.labels[i])).name]
+            + ["" if math.isnan(v) else repr(float(v)) for v in ds.X[i]]
+        )
+    return buf.getvalue()
+
+
+# values whose text is easy to get wrong; NaN is the standard quiet NaN,
+# the one an empty cell parses to
+SPECIAL_VALUES = (
+    np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1e300, -1e300, 1.7976931348623157e308, 1e-17, -3.0000000000000004, 0.1, 1.0, 123456789.0,
+)
+# row counts on both sides of one and two chunks
+ROW_COUNTS = st.one_of(
+    st.integers(1, 20),
+    st.sampled_from([_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]),
+)
+
+
+@st.composite
+def snapshot_datasets(draw) -> SnapshotDataset:
+    n_rows = draw(ROW_COUNTS)
+    per_entity = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["int", "date"]))
+    stem = draw(st.text(ID_CHARS, min_size=1, max_size=6))
+    regions = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=6), min_size=1, max_size=3))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # the first entity id holds every allowed character
+    n_ent = -(-n_rows // per_entity)
+    ent_names = [ID_CHARS] + [f"{stem}{k:05d}" for k in range(1, n_ent)]
+    ents = [ent_names[i // per_entity] for i in range(n_rows)]
+    steps = [i % per_entity for i in range(n_rows)]
+    if kind == "int":
+        snaps = [str(7 * t + 3) for t in steps]
+    else:
+        snaps = [(datetime.date(2023, 12, 30) + datetime.timedelta(days=9 * t)).isoformat()
+                 for t in steps]
+    labels = rng.integers(0, len(Label), n_ent)[[i // per_entity for i in range(n_rows)]]
+    X = rng.standard_normal((n_rows, d)) * 10.0 ** rng.integers(-320, 300, (n_rows, d))
+    special = rng.random((n_rows, d)) < 0.4
+    X[special] = rng.choice(SPECIAL_VALUES, int(special.sum()))
+    return build_dataset(
+        tuple(f"f_{name}" for name in draw(
+            st.lists(st.text(ID_CHARS, min_size=1, max_size=5), min_size=d, max_size=d,
+                     unique=True))),
+        kind, np.array(ents, dtype=np.str_), np.array(snaps, dtype=np.str_),
+        np.array([regions[i % len(regions)] for i in range(n_rows)], dtype=np.str_),
+        labels, X,
+    )
+
+
+class TestChunkedCsv:
+    """The chunked reader and writer against the record-by-record reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=snapshot_datasets())
+    def test_round_trip_is_byte_and_bit_identical(self, ds, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rt") / "a.csv"
+        write_csv(ds, path)
+        text = path.read_bytes()
+        assert text.decode() == _reference_write(ds)
+        back = parse_csv(path)
+        assert back == ds
+        assert back.X.view(np.int64).tobytes() == ds.X.view(np.int64).tobytes()
+        write_csv(back, path)
+        assert path.read_bytes() == text
+        # the one-pass screen returns what the record loop returns
+        records = list(csv.reader(io.StringIO(text.decode(), newline="")))[1:]
+        fast = _screen_rows(records, 4 + ds.n_features, None, set(), {})
+        slow = _parse_rows(path, records, 2, ds.schema, None)
+        assert fast is not None
+        assert fast[:4] == slow[:4] and fast[5] == slow[5]
+        assert fast[4].view(np.int64).tobytes() == slow[4].view(np.int64).tobytes()
+
+    # every record case of TestCsv.test_malformed_files_rejected_with_context,
+    # and a bad region
+    RECORD_CASES = [
+        ["e 1,0,r,GOOD,1.0"],
+        ["e,xx,r,GOOD,1.0"],
+        ["e,0,r,FINE,1.0"],
+        ["e,0,r,GOOD,abc"],
+        ["e,0,r,GOOD,inf"],
+        ["e,0,r,GOOD"],
+        ["e,0,r,GOOD,1.0", "e,2024-01-01,r,GOOD,1.0"],
+        ["e,0,r bad,GOOD,1.0"],
+    ]
+
+    @staticmethod
+    def _message(path, records) -> str:
+        path.write_text("entity_id,snapshot_id,region,label,f_a\n" + "".join(r + "\n" for r in records))
+        with pytest.raises(ValueError) as exc:
+            parse_csv(path)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("records", RECORD_CASES)
+    @pytest.mark.parametrize("bad_index", [_CHUNK_ROWS, 2 * _CHUNK_ROWS - 1, 2 * _CHUNK_ROWS + 5])
+    def test_late_bad_record_gives_same_message_and_its_line(self, tmp_path, records, bad_index):
+        path = tmp_path / "bad.csv"
+        first = self._message(path, records)
+        filler = [f"fill{i:04d},{i % 3},r,GOOD,0.5" for i in range(bad_index - len(records) + 1)]
+        late = self._message(path, filler + records)
+        bad_line = len(records) + 1
+        assert f"line {bad_line}:" in first
+        assert late == first.replace(f"line {bad_line}:", f"line {bad_index + 2}:")
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-nan", "inf", "-Infinity"])
+    def test_spelled_out_non_finite_rejected_empty_accepted(self, tmp_path, token):
+        path = tmp_path / "d.csv"
+        head = "entity_id,snapshot_id,region,label,f_a,f_b\n"
+        rows = [f"e{i:04d},0,r,GOOD,{i},1.5" for i in range(_CHUNK_ROWS + 10)]
+        rows[_CHUNK_ROWS + 3] = f"e{_CHUNK_ROWS + 3:04d},0,r,GOOD,,1.5"
+        path.write_text(head + "".join(r + "\n" for r in rows))
+        ds = parse_csv(path)
+        assert np.isnan(ds.X[_CHUNK_ROWS + 3, 0]) and np.isfinite(np.delete(ds.X, _CHUNK_ROWS + 3, 0)).all()
+        rows[_CHUNK_ROWS + 5] = f"e{_CHUNK_ROWS + 5:04d},0,r,GOOD,1.0,{token}"
+        path.write_text(head + "".join(r + "\n" for r in rows))
+        with pytest.raises(ValueError) as exc:
+            parse_csv(path)
+        assert str(exc.value) == (
+            f"{path}: line {_CHUNK_ROWS + 7}: feature 'f_b': non-finite value {token!r}"
+        )
+
+    def test_kind_switch_at_a_chunk_boundary_is_mixed(self, tmp_path):
+        # the second chunk is all dates, so only the kind carried over from
+        # the first chunk shows the mix
+        path = tmp_path / "d.csv"
+        rows = [f"e{i:04d},{i},r,GOOD,1.0" for i in range(_CHUNK_ROWS)]
+        rows += [f"d{i:04d},2024-01-01,r,GOOD,1.0" for i in range(5)]
+        path.write_text("entity_id,snapshot_id,region,label,f_a\n" + "".join(r + "\n" for r in rows))
+        with pytest.raises(ValueError) as exc:
+            parse_csv(path)
+        assert str(exc.value) == (
+            f"{path}: line {_CHUNK_ROWS + 2}: mixed snapshot id types (int and date) in one file"
+        )
+
+    @pytest.mark.parametrize(
+        "column, value, kind, message",
+        [
+            ("entity_ids", "b,c", "int", "cannot write entity_id 'b,c': ids must match [A-Za-z0-9_|.:-]+"),
+            ("entity_ids", "", "int", "cannot write entity_id '': ids must match [A-Za-z0-9_|.:-]+"),
+            ("regions", "n a", "int", "cannot write region 'n a': ids must match [A-Za-z0-9_|.:-]+"),
+            ("labels", 9, "int", f"cannot write label code 9, expected one of {LABEL_CODES}"),
+            ("labels", -1, "int", f"cannot write label code -1, expected one of {LABEL_CODES}"),
+            ("snapshot_ids", "x1", "date", "cannot write snapshot_id 'x1': it is neither a "
+             "non-negative integer nor an ISO-8601 date (YYYY-MM-DD)"),
+            ("snapshot_ids", "2024-01-01", "int", "cannot write mixed snapshot id types ('0' and '2024-01-01')"),
+            ("X", np.inf, "int", "cannot write non-finite value inf of feature 'f_sr_0' for entity 'e2'"),
+            ("schema", ("f_sr_0", "eng"), "int",
+             "cannot write feature column 'eng': it must match prefix 'f_' and id charset"),
+        ],
+    )
+    def test_unwritable_dataset_refused_before_the_file_opens(self, tmp_path, column, value, kind, message):
+        ds = toy_dataset()
+        fields = {
+            "schema": ds.schema, "snapshot_kind": kind, "entity_ids": ds.entity_ids.copy(),
+            "snapshot_ids": ds.snapshot_ids.copy(), "regions": ds.regions.copy(),
+            "labels": ds.labels.copy(), "X": ds.X.copy(),
+        }
+        if column == "schema":
+            fields["schema"] = value
+        elif column == "X":
+            fields["X"][3, 0] = value
+        else:
+            fields[column] = fields[column].astype(object)
+            fields[column][3] = value
+        bad = build_dataset(**fields, sort=False, validate=False)
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError) as exc:
+            write_csv(bad, path)
+        assert str(exc.value) == f"{path}: {message}"
+        assert not path.exists()
 
 
 class TestViewsAndStats:

@@ -93,6 +93,20 @@ class TestPrAuc:
         perm = rng.permutation(scores.size)
         assert pr_auc(scores, labels) == pr_auc(scores[perm], labels[perm])
 
+    @given(
+        rows=st.lists(st.tuples(st.sampled_from([0.1, 0.5, 0.7, 2.0]), st.integers(0, 1)),
+                      min_size=1, max_size=40).filter(lambda r: any(y for _, y in r)),
+        data=st.data(),
+    )
+    def test_reordering_tied_scores_keeps_ap(self, rows, data):
+        # four score levels make most rows tied; the permutation keeps the
+        # rows sorted by score, so only the order within each tie moves
+        ranked = sorted(rows, key=lambda r: r[0])
+        shuffled = sorted(data.draw(st.permutations(ranked)), key=lambda r: r[0])
+        scores, labels = (np.array(col) for col in zip(*ranked))
+        scores2, labels2 = (np.array(col) for col in zip(*shuffled))
+        assert pr_auc(scores, labels) == pr_auc(scores2, labels2)
+
     def test_monotone_transform_invariance(self, rng):
         scores, labels = random_ap_instance(rng)
         assert pr_auc(scores, labels) == pr_auc(np.exp(3.0 * scores) + 7.0, labels)
