@@ -168,6 +168,20 @@ class SnapshotDataset:
             [np.arange(a, b, dtype=np.int64) for a, b in blocks]
         )
 
+    def split_by_entity(self, entity_ids: Iterable[str], values: np.ndarray) -> dict[str, np.ndarray]:
+        """Split ``values``, one per row of ``rows_for(entity_ids)``, into each
+        entity's block, entities in ascending id order. Raises ``ValueError``
+        for an unknown entity id or ``values`` of another length."""
+        out: dict[str, np.ndarray] = {}
+        offset = 0
+        for e in sorted(set(entity_ids)):
+            start, stop = self._block(e)
+            out[e] = values[offset:offset + stop - start]
+            offset += stop - start
+        if offset != len(values):
+            raise ValueError(f"expected {offset} values for these entities, got {len(values)}")
+        return out
+
     def _block(self, entity_id: str) -> tuple[int, int]:
         try:
             return self.index[entity_id]
@@ -389,10 +403,10 @@ def _validate_dataset(ds: SnapshotDataset) -> None:
         i = int(bad[0]) + 1
         if duplicate[i - 1]:
             raise ValueError(
-                f"duplicate (entity, snapshot) pair: ({ent[i]!r}, {snap[i]!r})"
+                f"duplicate (entity, snapshot) pair: ({str(ent[i])!r}, {str(snap[i])!r})"
             )
         raise ValueError(
-            f"inconsistent label for entity {ent[i]!r}: "
+            f"inconsistent label for entity {str(ent[i])!r}: "
             f"{Label(int(lab[i - 1])).name} vs {Label(int(lab[i])).name}"
         )
     if len(set(ds.schema)) != len(ds.schema):
@@ -528,6 +542,15 @@ def _screen_rows(
     return list(ents), list(snaps), list(regs), codes, X.reshape(len(rows), -1), chunk_kinds.pop()
 
 
+def _records(path: Path, reader) -> Iterator[list[str]]:
+    """The records of a ``csv.reader``, its ``csv.Error`` (such as a field
+    over the field size limit) raised as a ``ValueError`` with the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def parse_csv(path: str | Path) -> SnapshotDataset:
     """Parse a snapshot CSV into a :class:`SnapshotDataset`.
 
@@ -541,13 +564,14 @@ def parse_csv(path: str | Path) -> SnapshotDataset:
     Raises:
         ValueError: malformed header, bad id or label, non-finite or
             unparseable feature value (with the record's line number),
-            duplicate (entity, snapshot) pair, inconsistent label, mixed
-            snapshot kinds.
+            a record the CSV reader rejects (with its line), duplicate
+            (entity, snapshot) pair, inconsistent label, mixed snapshot
+            kinds.
         OSError: if the file cannot be read.
     """
     path = Path(path)
     with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _records(path, csv.reader(fh))
         try:
             header = next(reader)
         except StopIteration:

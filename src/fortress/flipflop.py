@@ -18,6 +18,7 @@ import numpy as np
 from fortress.data import SnapshotDataset
 from fortress.metrics import percentile_nearest_rank
 from fortress.model import BoostedModel
+from fortress.stability import score_entities
 
 
 @dataclass
@@ -97,26 +98,18 @@ def flip_flop_rate(
     """
     if not np.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau!r}")
-    model.check_schema(dataset.schema)
-    entities = sorted(set(entity_ids)) if entity_ids is not None else sorted(dataset.entities)
+    entities, _, scores = score_entities(model, dataset, entity_ids)
     if not entities:
         raise ValueError("cannot evaluate flip-flops on an empty entity set")
-    rows = dataset.rows_for(entities)
-    scores = model.predict(dataset.X[rows])
-
     flips: dict[str, int] = {}
     totals: dict[str, int] = {}
-    offset = 0
-    for e in entities:
-        start, stop = dataset.entity_rows(e)
-        k = stop - start
-        if k >= 2:
-            admitted = scores[offset:offset + k] >= tau
-            region = str(dataset.regions[start])
+    for e, series in dataset.split_by_entity(entities, scores).items():
+        if series.size >= 2:
+            admitted = series >= tau
+            region = str(dataset.regions[dataset.entity_rows(e)[0]])
             totals[region] = totals.get(region, 0) + 1
             if admitted.any() and not admitted.all():
                 flips[region] = flips.get(region, 0) + 1
-        offset += k
     if not totals:
         raise ValueError("no entity has 2 or more snapshots; flip-flops undefined")
     per_region = {
@@ -174,10 +167,7 @@ def tau_from_percentile(
     percentile: float = 50.0,
 ) -> float:
     """Admission threshold at a percentile of a model's score distribution."""
-    model.check_schema(dataset.schema)
-    entities = sorted(set(entity_ids)) if entity_ids is not None else sorted(dataset.entities)
+    entities, _, scores = score_entities(model, dataset, entity_ids)
     if not entities:
         raise ValueError("cannot derive tau from an empty entity set")
-    rows = dataset.rows_for(entities)
-    scores = model.predict(dataset.X[rows])
     return percentile_nearest_rank(scores, percentile)

@@ -3,9 +3,10 @@
 Scores live at the (entity, snapshot) level but entities are the sampling
 unit, so every confidence interval here uses an entity-level (cluster)
 bootstrap: entities are resampled with replacement and each drawn entity
-carries all of its snapshot rows into the resample. Resample ``r`` always
-draws from a generator seeded with ``mix64(seed, r)``, which makes every
-interval reproducible from (data, seed) alone.
+carries all of its snapshot rows into the resample. One loop,
+``_percentile_interval``, draws every resample: attempt ``a`` uses a
+generator seeded with ``mix64(seed, a)``, which makes every interval
+reproducible from (data, seed) alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from fortress.rng import mix64, spawn
+from fortress.rng import spawn
 
 MEAN = "mean"
 ABS_MEAN_EPS = "abs_mean_eps"
@@ -218,27 +219,39 @@ def bootstrap_ci(
         raise ValueError(f"bootstrap needs at least 2 entities, got {n}")
     check_bootstrap_params(b, level)
     point = float(statistic(arr))
+    lo, hi = _percentile_interval(
+        lambda idx: float(statistic(arr[idx])), n, b, seed, level, "bootstrap statistic"
+    )
+    return ConfidenceInterval(point=point, lo=lo, hi=hi, level=level, resamples=b, seed=seed)
+
+
+def _percentile_interval(
+    statistic_of_draw: Callable[[np.ndarray], float], n: int, b: int, seed: int,
+    level: float, what: str,
+) -> tuple[float, float]:
+    """Nearest-rank percentile interval of ``b`` bootstrap values.
+
+    Attempt ``a`` draws ``n`` indices in ``[0, n)`` with replacement from
+    ``spawn(seed, a)`` and passes them to ``statistic_of_draw``. A draw on
+    which the statistic raises ``ValueError`` is redrawn; after ``10 * b``
+    attempts the interval is declared undefined.
+    """
     values = np.empty(b, dtype=np.float64)
     got = 0
-    attempt = 0
-    max_attempts = 10 * b
-    while got < b:
-        if attempt >= max_attempts:
-            raise ValueError(
-                f"bootstrap statistic undefined too often: "
-                f"{got} of {b} resamples after {max_attempts} attempts"
-            )
-        rng = spawn(seed, attempt)
-        attempt += 1
-        idx = rng.integers(0, n, size=n)
+    for attempt in range(10 * b):
+        draw = spawn(seed, attempt).integers(0, n, size=n)
         try:
-            values[got] = float(statistic(arr[idx]))
+            values[got] = statistic_of_draw(draw)
         except ValueError:
             continue
         got += 1
-    lo = percentile_nearest_rank(values, (1.0 - level) / 2.0 * 100.0)
-    hi = percentile_nearest_rank(values, (1.0 + level) / 2.0 * 100.0)
-    return ConfidenceInterval(point=point, lo=lo, hi=hi, level=level, resamples=b, seed=seed)
+        if got == b:
+            lo = percentile_nearest_rank(values, (1.0 - level) / 2.0 * 100.0)
+            hi = percentile_nearest_rank(values, (1.0 + level) / 2.0 * 100.0)
+            return lo, hi
+    raise ValueError(
+        f"{what} undefined too often: {got} of {b} resamples after {10 * b} attempts"
+    )
 
 
 class _WeightedAp:
@@ -268,6 +281,40 @@ class _WeightedAp:
         return float(np.sum(d_recall[contributes] * (tp[contributes] / k[contributes])))
 
 
+def _entity_bootstrap_input(
+    labels: Sequence[int] | np.ndarray, entity_ids: Sequence[str] | np.ndarray, b: int,
+    level: float, what: str, bootstrap: str, **scores: Sequence[float] | np.ndarray,
+) -> tuple[list[np.ndarray], np.ndarray, int, Callable[[np.ndarray], np.ndarray]]:
+    """Checked input of an entity bootstrap over pooled rows: the named
+    ``scores`` as float arrays (in keyword order), the 0/1 labels, the number
+    of distinct entities, and a function from a draw of entity indices to
+    integer row weights. ``what`` names the statistic in the messages on
+    empty or non-finite input, ``bootstrap`` the procedure."""
+    arrays = [np.asarray(s, dtype=np.float64) for s in scores.values()]
+    y = _check_binary_labels(labels)
+    ents = np.asarray(entity_ids)
+    shapes = [a.shape for a in (*arrays, y, ents)]
+    if len(set(shapes)) != 1:
+        raise ValueError(
+            f"{', '.join(scores)}, labels, entity_ids must share one shape, got "
+            + ", ".join(map(str, shapes))
+        )
+    if y.size == 0:
+        raise ValueError(f"{what} is undefined on empty input")
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError(f"{what} is undefined for non-finite scores")
+    unique_ents, inverse = np.unique(ents, return_inverse=True)
+    n_ent = unique_ents.size
+    if n_ent < 2:
+        raise ValueError(f"{bootstrap} needs at least 2 entities, got {n_ent}")
+    check_bootstrap_params(b, level)
+
+    def weights(draw: np.ndarray) -> np.ndarray:
+        return np.bincount(draw, minlength=n_ent)[inverse].astype(np.float64)
+
+    return arrays, y, n_ent, weights
+
+
 def paired_delta_significance(
     scores_a: Sequence[float] | np.ndarray,
     scores_b: Sequence[float] | np.ndarray,
@@ -285,50 +332,19 @@ def paired_delta_significance(
     ``significant_improvement`` is true iff the interval's lower bound is
     strictly positive.
     """
-    sa = np.asarray(scores_a, dtype=np.float64)
-    sb = np.asarray(scores_b, dtype=np.float64)
-    y = _check_binary_labels(labels)
-    ents = np.asarray(entity_ids)
-    if not (sa.shape == sb.shape == y.shape == ents.shape):
-        raise ValueError(
-            "scores_a, scores_b, labels, entity_ids must share one shape, got "
-            f"{sa.shape}, {sb.shape}, {y.shape}, {ents.shape}"
-        )
-    if sa.size == 0:
-        raise ValueError("paired delta is undefined on empty input")
-    if not (np.all(np.isfinite(sa)) and np.all(np.isfinite(sb))):
-        raise ValueError("paired delta is undefined for non-finite scores")
-    unique_ents, inverse = np.unique(ents, return_inverse=True)
-    n_ent = unique_ents.size
-    if n_ent < 2:
-        raise ValueError(f"paired bootstrap needs at least 2 entities, got {n_ent}")
-    check_bootstrap_params(b, level)
-
+    (sa, sb), y, n_ent, weights = _entity_bootstrap_input(
+        labels, entity_ids, b, level, "paired delta", "paired bootstrap",
+        scores_a=scores_a, scores_b=scores_b,
+    )
     point = pr_auc(sb, y) - pr_auc(sa, y)
     ap_a = _WeightedAp(sa, y)
     ap_b = _WeightedAp(sb, y)
 
-    values = np.empty(b, dtype=np.float64)
-    got = 0
-    attempt = 0
-    max_attempts = 10 * b
-    while got < b:
-        if attempt >= max_attempts:
-            raise ValueError(
-                f"paired bootstrap undefined too often: "
-                f"{got} of {b} resamples after {max_attempts} attempts"
-            )
-        rng = spawn(seed, attempt)
-        attempt += 1
-        draw = rng.integers(0, n_ent, size=n_ent)
-        w = np.bincount(draw, minlength=n_ent)[inverse].astype(np.float64)
-        try:
-            values[got] = ap_b.ap(w) - ap_a.ap(w)
-        except ValueError:
-            continue
-        got += 1
-    lo = percentile_nearest_rank(values, (1.0 - level) / 2.0 * 100.0)
-    hi = percentile_nearest_rank(values, (1.0 + level) / 2.0 * 100.0)
+    def delta(draw: np.ndarray) -> float:
+        w = weights(draw)
+        return ap_b.ap(w) - ap_a.ap(w)
+
+    lo, hi = _percentile_interval(delta, n_ent, b, seed, level, "paired bootstrap")
     ci = ConfidenceInterval(point=point, lo=lo, hi=hi, level=level, resamples=b, seed=seed)
     return PairedDelta(delta=ci, significant_improvement=bool(lo > 0.0))
 
@@ -348,47 +364,22 @@ def bootstrap_pr_auc_ci(
     a drawn entity are carried as integer weights instead, which gives the
     same values (up to float summation order) without re-sorting per resample.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = _check_binary_labels(labels)
-    ents = np.asarray(entity_ids)
-    if not (s.shape == y.shape == ents.shape):
-        raise ValueError(
-            f"scores, labels, entity_ids must share one shape, got "
-            f"{s.shape}, {y.shape}, {ents.shape}"
-        )
-    if s.size == 0:
-        raise ValueError("pr_auc is undefined on empty input")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("pr_auc is undefined for non-finite scores")
-    unique_ents, inverse = np.unique(ents, return_inverse=True)
-    n_ent = unique_ents.size
-    if n_ent < 2:
-        raise ValueError(f"bootstrap needs at least 2 entities, got {n_ent}")
-    check_bootstrap_params(b, level)
+    (s,), y, n_ent, weights = _entity_bootstrap_input(
+        labels, entity_ids, b, level, "pr_auc", "bootstrap", scores=scores
+    )
     point = pr_auc(s, y)
     helper = _WeightedAp(s, y)
-    values = np.empty(b, dtype=np.float64)
-    got = 0
-    attempt = 0
-    max_attempts = 10 * b
-    while got < b:
-        if attempt >= max_attempts:
-            raise ValueError(
-                f"bootstrap statistic undefined too often: "
-                f"{got} of {b} resamples after {max_attempts} attempts"
-            )
-        rng = spawn(seed, attempt)
-        attempt += 1
-        draw = rng.integers(0, n_ent, size=n_ent)
-        w = np.bincount(draw, minlength=n_ent)[inverse].astype(np.float64)
-        try:
-            values[got] = helper.ap(w)
-        except ValueError:
-            continue
-        got += 1
-    lo = percentile_nearest_rank(values, (1.0 - level) / 2.0 * 100.0)
-    hi = percentile_nearest_rank(values, (1.0 + level) / 2.0 * 100.0)
+    lo, hi = _percentile_interval(
+        lambda draw: helper.ap(weights(draw)), n_ent, b, seed, level, "bootstrap statistic"
+    )
     return ConfidenceInterval(point=point, lo=lo, hi=hi, level=level, resamples=b, seed=seed)
+
+
+def entity_cvs(
+    series: Mapping[str, np.ndarray] | Mapping[str, Sequence[float]],
+) -> dict[str, float]:
+    """Score CV of every entity with at least 2 scores, in series order."""
+    return {e: cv(s) for e, s in series.items() if len(s) >= 2}
 
 
 def mean_entity_cv(series: Mapping[str, np.ndarray] | Mapping[str, Sequence[float]]) -> float:
@@ -397,7 +388,7 @@ def mean_entity_cv(series: Mapping[str, np.ndarray] | Mapping[str, Sequence[floa
     Raises:
         ValueError: if no entity has 2 or more scores.
     """
-    cvs = [cv(np.asarray(s, dtype=np.float64)) for s in series.values() if len(s) >= 2]
+    cvs = entity_cvs(series)
     if not cvs:
         raise ValueError("no entity has 2 or more snapshots; mean CV undefined")
-    return float(np.mean(cvs))
+    return float(np.mean(list(cvs.values())))

@@ -62,7 +62,7 @@ from fortress.metrics import (
     bootstrap_ci,
     bootstrap_pr_auc_ci,
     check_bootstrap_params,
-    cv,
+    entity_cvs,
     mean_entity_cv,
     paired_delta_significance,
     pr_auc,
@@ -74,6 +74,7 @@ from fortress.stability import (
     build_stability_report,
     check_candidate_count,
     prune_candidates,
+    score_entities,
 )
 
 log = logging.getLogger(__name__)
@@ -267,19 +268,6 @@ class ExperimentResult:
         }
 
 
-def _entity_scores_by_block(
-    dataset: SnapshotDataset, entities: Sequence[str], scores: np.ndarray
-) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    offset = 0
-    for e in entities:
-        start, stop = dataset.entity_rows(e)
-        k = stop - start
-        out[e] = scores[offset:offset + k]
-        offset += k
-    return out
-
-
 def _worker_count() -> int:
     """CPUs this process may run on (its affinity set, where the OS has one)."""
     try:
@@ -426,7 +414,7 @@ def _fortress_core(
 
     cur_model = baseline
     cur_scores = baseline.predict(X_val)
-    cur_cv = mean_entity_cv(_entity_scores_by_block(dataset, val_entities, cur_scores))
+    cur_cv = mean_entity_cv(dataset.split_by_entity(val_entities, cur_scores))
     cur_mask = baseline.mask.copy()
     initial_ap = pr_auc(cur_scores, y_val)
     initial_cv = cur_cv
@@ -454,7 +442,7 @@ def _fortress_core(
             seed=mix64(cfg.seed, i),
             level=cfg.level,
         )
-        cv2 = mean_entity_cv(_entity_scores_by_block(dataset, val_entities, scores2))
+        cv2 = mean_entity_cv(dataset.split_by_entity(val_entities, scores2))
         return outcome, cv2, scores2, tentative.trees, tentative.rounds_reused
 
     iterations: list[PruneIteration] = []
@@ -532,12 +520,9 @@ def evaluate_model(
         ValueError: a model schema that differs from the dataset's, an empty
             entity set, or bad bootstrap parameters.
     """
-    model.check_schema(dataset.schema)
-    entities = sorted(set(entity_ids))
+    entities, rows, scores = score_entities(model, dataset, entity_ids)
     if not entities:
         raise ValueError("cannot evaluate on an empty entity set")
-    rows = dataset.rows_for(entities)
-    scores = model.predict(dataset.X[rows])
     y = dataset.binary_labels()[rows]
     ents_rows = dataset.entity_ids[rows]
 
@@ -545,10 +530,8 @@ def evaluate_model(
         scores, y, ents_rows, b=b, seed=mix64(seed, 1), level=level
     )
 
-    series = _entity_scores_by_block(dataset, entities, scores)
-    cv_values = np.array(
-        [cv(s) for s in series.values() if s.size >= 2], dtype=np.float64
-    )
+    cvs = entity_cvs(dataset.split_by_entity(entities, scores))
+    cv_values = np.array(list(cvs.values()), dtype=np.float64)
     if cv_values.size >= 2:
         cv_ci = bootstrap_ci(
             lambda idx: float(np.mean(cv_values[idx])),

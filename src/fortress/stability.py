@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from fortress.data import SnapshotDataset
-from fortress.metrics import ABS_MEAN_EPS, cv, percentile_nearest_rank
+from fortress.metrics import ABS_MEAN_EPS, cv, entity_cvs, percentile_nearest_rank
 from fortress.model import BoostedModel
 
 AUTO = "auto"
@@ -69,6 +69,25 @@ class StabilityReport:
             raise ValueError(f"malformed stability report document: {exc}") from None
 
 
+def score_entities(
+    model: BoostedModel,
+    dataset: SnapshotDataset,
+    entity_ids: Iterable[str] | None = None,
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct entities (all by default) in ascending id order, their
+    rows (``dataset.rows_for``) and the model's score of each row; an empty
+    selection scores no rows. ``dataset.split_by_entity(entities, scores)``
+    gives the per-entity series.
+
+    Raises:
+        ValueError: schema mismatch or unknown entity ids.
+    """
+    model.check_schema(dataset.schema)
+    entities = sorted(set(dataset.entities if entity_ids is None else entity_ids))
+    rows = dataset.rows_for(entities)
+    return entities, rows, model.predict(dataset.X[rows])
+
+
 def score_entity_series(
     model: BoostedModel,
     dataset: SnapshotDataset,
@@ -82,20 +101,8 @@ def score_entity_series(
     Raises:
         ValueError: schema mismatch or unknown entity ids.
     """
-    model.check_schema(dataset.schema)
-    entities = sorted(set(entity_ids)) if entity_ids is not None else list(dataset.entities)
-    if not entities:
-        return {}
-    rows = dataset.rows_for(entities)
-    scores = model.predict(dataset.X[rows])
-    out: dict[str, np.ndarray] = {}
-    offset = 0
-    for e in entities:
-        start, stop = dataset.entity_rows(e)
-        k = stop - start
-        out[e] = scores[offset:offset + k]
-        offset += k
-    return out
+    entities, _, scores = score_entities(model, dataset, entity_ids)
+    return dataset.split_by_entity(entities, scores)
 
 
 def high_cv_entities(
@@ -112,11 +119,7 @@ def high_cv_entities(
     Raises:
         ValueError: if no entity has 2 or more snapshots.
     """
-    cvs: dict[str, float] = {}
-    for e, s in series.items():
-        arr = np.asarray(s, dtype=np.float64)
-        if arr.size >= 2:
-            cvs[e] = cv(arr)
+    cvs = entity_cvs(series)
     if not cvs:
         raise ValueError("no entity has 2 or more snapshots; stability undefined")
     threshold = percentile_nearest_rank(list(cvs.values()), percentile)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 
@@ -241,6 +242,17 @@ class TestErrorHandling:
         ])
         assert code == 1
         assert "fortress: error:" in capsys.readouterr().err
+
+    def test_oversized_csv_field_exits_1(self, tmp_path, capsys, clean_env):
+        bad = tmp_path / "huge.csv"
+        bad.write_text("entity_id,snapshot_id,region,label,f_a\ne,0,r,GOOD," + "1" * 200_000 + "\n")
+        out = tmp_path / "p.json"
+        code = main(["split", "--data", str(bad), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"fortress: error: {bad}: line 2: field larger than field limit ({csv.field_size_limit()})\n"
+        )
+        assert not out.exists()
 
     def test_unknown_config_section_exits_1(self, tmp_path, capsys, clean_env):
         cfg = tmp_path / "c.json"

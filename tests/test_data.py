@@ -275,10 +275,10 @@ class TestBuildDataset:
         "labels, snapshots, message",
         [
             # row 1 changes the label, row 3 repeats a snapshot: row 1 first
-            ([1, 2, 0, 0], ["0", "1", "0", "0"], "inconsistent label for entity np.str_('a')"),
-            ([1, 1, 0, 0], ["0", "1", "0", "0"], "duplicate (entity, snapshot) pair: (np.str_('b')"),
+            ([1, 2, 0, 0], ["0", "1", "0", "0"], "inconsistent label for entity 'a': ACCEPTABLE vs GOOD"),
+            ([1, 1, 0, 0], ["0", "1", "0", "0"], "duplicate (entity, snapshot) pair: ('b', '0')"),
             # one row with both faults reports the duplicate
-            ([1, 2, 0, 0], ["0", "0", "0", "1"], "duplicate (entity, snapshot) pair: (np.str_('a')"),
+            ([1, 2, 0, 0], ["0", "0", "0", "1"], "duplicate (entity, snapshot) pair: ('a', '0')"),
         ],
     )
     def test_first_offending_row_is_reported(self, labels, snapshots, message):
@@ -390,6 +390,26 @@ class TestCsv:
         )
         with pytest.raises(ValueError, match="line 3"):
             parse_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("entity_id,snapshot_id,region,label,f_" + "a" * 200_000 + "\n", 1),
+            (
+                "entity_id,snapshot_id,region,label,f_a\n" + "e,0,r,GOOD,1.0\n" * 70
+                + "e,70,r,GOOD," + "1" * 200_000 + "\n",
+                72,
+            ),
+        ],
+    )
+    def test_reader_error_is_a_value_error_with_its_line(self, tmp_path, body, line):
+        path = tmp_path / "huge.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError) as exc:
+            parse_csv(path)
+        assert str(exc.value) == (
+            f"{path}: line {line}: field larger than field limit ({csv.field_size_limit()})"
+        )
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -590,6 +610,25 @@ class TestViewsAndStats:
         assert list(iter_entity_blocks(toy_dataset())) == [
             ("e1", 0, 3), ("e2", 3, 5), ("e3", 5, 6),
         ]
+
+    @given(st.lists(st.sampled_from(["e1", "e2", "e3"]), max_size=8))
+    def test_split_by_entity_equals_entity_row_slices(self, ids):
+        # ids come unsorted and repeated; the blocks follow ascending id order
+        ds = toy_dataset()
+        parts = ds.split_by_entity(ids, ds.X[ds.rows_for(ids)])
+        assert list(parts) == sorted(set(ids))
+        for e, block in parts.items():
+            start, stop = ds.entity_rows(e)
+            np.testing.assert_array_equal(block, ds.X[start:stop])
+
+    def test_split_by_entity_rejects_misaligned_values(self):
+        ds = toy_dataset()
+        with pytest.raises(ValueError) as exc:
+            ds.split_by_entity(["e3", "e1"], np.zeros(5))
+        assert str(exc.value) == "expected 4 values for these entities, got 5"
+        with pytest.raises(ValueError) as exc:
+            ds.split_by_entity(["e1", "zzz"], np.zeros(3))
+        assert str(exc.value) == "unknown entity id: 'zzz'"
 
     def test_latest_snapshot_view(self):
         view = latest_snapshot_view(toy_dataset())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fortress import metrics
 from fortress.metrics import (
     ABS_MEAN_EPS,
     MEAN,
@@ -14,6 +15,7 @@ from fortress.metrics import (
     bootstrap_ci,
     bootstrap_pr_auc_ci,
     cv,
+    entity_cvs,
     mean_entity_cv,
     paired_delta_significance,
     percentile_nearest_rank,
@@ -320,6 +322,23 @@ class TestPairedDeltaSignificance:
             paired_delta_significance([0.1, 0.2], [0.1, 0.2], [1, 0], ["a"])
 
 
+class TestEntityCvs:
+    def test_skips_single_score_entities_and_keeps_series_order(self):
+        series = {
+            "z": np.array([0.2, 0.4]),
+            "a": [0.9],
+            "m": [0.5, 0.5, 0.5],
+            "b": np.array([], dtype=float),
+            "c": (0.1, 0.3),
+        }
+        out = entity_cvs(series)
+        assert list(out) == ["z", "m", "c"]
+        assert out == {"z": cv([0.2, 0.4]), "m": 0.0, "c": cv([0.1, 0.3])}
+
+    def test_empty_series(self):
+        assert entity_cvs({}) == {}
+
+
 class TestMeanEntityCv:
     def test_averages_multi_snapshot_entities_only(self):
         series = {
@@ -332,3 +351,153 @@ class TestMeanEntityCv:
     def test_undefined_without_multi_snapshot_entities(self):
         with pytest.raises(ValueError):
             mean_entity_cv({"a": [0.5], "b": [0.7]})
+
+
+class TestBootstrapGolden:
+    """Pinned intervals and messages of the three entity bootstraps.
+
+    The inputs force redraws: the ``bootstrap_ci`` statistic is undefined on
+    resamples with a negative mean, and only one of six entities carries
+    positive labels, so many resamples have no positive row. Any change to
+    the attempt sequence, the redraw rule or the percentile pick moves a
+    pinned bit.
+    """
+
+    VALUES = np.array([0.31, -0.42, 0.17, 0.88, -0.05, 0.64, -0.73, 0.29, 0.12, -0.36, 0.51, 0.07])
+    ENTS = np.repeat([f"e{i}" for i in range(6)], 2)
+    LABELS = np.array([0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0], dtype=float)
+    SA = np.array([0.9, 0.1, 0.8, 0.7, 0.3, 0.3, 0.6, 0.2, 0.5, 0.4, 0.35, 0.05])
+    SB = np.array([0.2, 0.1, 0.95, 0.6, 0.3, 0.45, 0.1, 0.2, 0.5, 0.15, 0.35, 0.05])
+
+    @staticmethod
+    def _hex(ci):
+        return (ci.point.hex(), ci.lo.hex(), ci.hi.hex())
+
+    @pytest.fixture
+    def failed_draws(self, monkeypatch):
+        """Counts the resamples on which a weighted AP is undefined."""
+        count = {"n": 0}
+        original = metrics._WeightedAp.ap
+
+        def counting(self, w):
+            try:
+                return original(self, w)
+            except ValueError:
+                count["n"] += 1
+                raise
+
+        monkeypatch.setattr(metrics._WeightedAp, "ap", counting)
+        return count
+
+    def test_bootstrap_ci(self):
+        calls = {"n": 0}
+
+        def nonnegative_mean(e):
+            calls["n"] += 1
+            m = float(np.mean(e))
+            if m < 0.0:
+                raise ValueError("undefined here")
+            return m
+
+        ci = bootstrap_ci(nonnegative_mean, self.VALUES, b=40, seed=3)
+        assert self._hex(ci) == ("0x1.e81b4e81b4e81p-4", "0x1.b4e81b4e81b60p-9", "0x1.58bf258bf258cp-2")
+        assert calls["n"] == 1 + 40 + 9  # the point, 40 resamples, 9 redraws
+
+    def test_bootstrap_pr_auc_ci(self, failed_draws):
+        ci = bootstrap_pr_auc_ci(self.SA, self.LABELS, self.ENTS, b=30, seed=5)
+        assert self._hex(ci) == ("0x1.2aaaaaaaaaaaap-1", "0x1.1111111111111p-2", "0x1.0000000000000p+0")
+        assert failed_draws["n"] == 21
+
+    def test_paired_delta_significance(self, failed_draws):
+        out = paired_delta_significance(self.SA, self.SB, self.LABELS, self.ENTS, b=30, seed=9)
+        assert self._hex(out.delta) == ("0x1.aaaaaaaaaaaacp-2", "0x0.0p+0", "0x1.2aaaaaaaaaaabp-1")
+        assert out.significant_improvement is False
+        assert failed_draws["n"] == 18
+
+    def test_undefined_too_often_messages(self, monkeypatch):
+        def point_only(e):
+            if e.size == 5 and np.array_equal(e, np.arange(5)):
+                return 0.0
+            raise ValueError("undefined on a resample")
+
+        with pytest.raises(ValueError) as exc:
+            bootstrap_ci(point_only, np.arange(5), b=3, seed=0)
+        assert str(exc.value) == (
+            "bootstrap statistic undefined too often: 0 of 3 resamples after 30 attempts"
+        )
+
+        def never(self, w):
+            raise ValueError("no positive rows in resample")
+
+        monkeypatch.setattr(metrics._WeightedAp, "ap", never)
+        with pytest.raises(ValueError) as exc:
+            bootstrap_pr_auc_ci(self.SA, self.LABELS, self.ENTS, b=2, seed=0)
+        assert str(exc.value) == (
+            "bootstrap statistic undefined too often: 0 of 2 resamples after 20 attempts"
+        )
+        with pytest.raises(ValueError) as exc:
+            paired_delta_significance(self.SA, self.SB, self.LABELS, self.ENTS, b=4, seed=0)
+        assert str(exc.value) == (
+            "paired bootstrap undefined too often: 0 of 4 resamples after 40 attempts"
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(entities=np.ones((2, 2))), "entities must be 1-d, got shape (2, 2)"),
+            (dict(entities=np.arange(1)), "bootstrap needs at least 2 entities, got 1"),
+            (dict(b=1), "bootstrap needs at least 2 resamples, got 1"),
+            (dict(level=1.0), "level must be in (0, 1), got 1.0"),
+        ],
+    )
+    def test_bootstrap_ci_input_messages(self, kwargs, message):
+        args = dict(statistic=lambda e: 0.0, entities=np.arange(10), b=100, seed=0)
+        with pytest.raises(ValueError) as exc:
+            bootstrap_ci(**{**args, **kwargs})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(labels=[[1.0, 0.0]]), "labels must be 1-d, got shape (1, 2)"),
+            (dict(labels=[1.0, 2.0]), "labels must be binary (0/1)"),
+            (dict(entity_ids=["a"]), "scores, labels, entity_ids must share one shape, got (2,), (2,), (1,)"),
+            (dict(scores=[], labels=[], entity_ids=[]), "pr_auc is undefined on empty input"),
+            (dict(scores=[0.1, np.inf]), "pr_auc is undefined for non-finite scores"),
+            (dict(entity_ids=["a", "a"]), "bootstrap needs at least 2 entities, got 1"),
+            (dict(b=1), "bootstrap needs at least 2 resamples, got 1"),
+            (dict(level=0.0), "level must be in (0, 1), got 0.0"),
+        ],
+    )
+    def test_bootstrap_pr_auc_ci_input_messages(self, kwargs, message):
+        args = dict(scores=[0.1, 0.2], labels=[1.0, 0.0], entity_ids=["a", "b"], b=100, seed=0)
+        with pytest.raises(ValueError) as exc:
+            bootstrap_pr_auc_ci(**{**args, **kwargs})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(labels=[1.0, 0.5]), "labels must be binary (0/1)"),
+            (
+                dict(scores_b=[0.1]),
+                "scores_a, scores_b, labels, entity_ids must share one shape, got (2,), (1,), (2,), (2,)",
+            ),
+            (
+                dict(scores_a=[], scores_b=[], labels=[], entity_ids=[]),
+                "paired delta is undefined on empty input",
+            ),
+            (dict(scores_b=[np.nan, 0.2]), "paired delta is undefined for non-finite scores"),
+            (dict(entity_ids=["a", "a"]), "paired bootstrap needs at least 2 entities, got 1"),
+            (dict(b=0), "bootstrap needs at least 2 resamples, got 0"),
+            (dict(level=1.5), "level must be in (0, 1), got 1.5"),
+        ],
+    )
+    def test_paired_delta_input_messages(self, kwargs, message):
+        args = dict(
+            scores_a=[0.1, 0.2], scores_b=[0.3, 0.1], labels=[1.0, 0.0], entity_ids=["a", "b"],
+            b=100, seed=0,
+        )
+        with pytest.raises(ValueError) as exc:
+            paired_delta_significance(**{**args, **kwargs})
+        assert str(exc.value) == message

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from fortress.data import VAL, build_dataset
+from fortress.flipflop import flip_flop_rate, tau_from_percentile
 from fortress.model import BoostedModel, TrainConfig, Tree
+from fortress.pipeline import evaluate_model
 from fortress.stability import (
     AUTO,
     StabilityReport,
@@ -14,6 +18,7 @@ from fortress.stability import (
     high_cv_entities,
     per_feature_cv,
     prune_candidates,
+    score_entities,
     score_entity_series,
 )
 
@@ -84,6 +89,75 @@ class TestScoreEntitySeries:
     def test_unknown_entity_rejected(self):
         with pytest.raises(ValueError, match="unknown entity"):
             score_entity_series(_step_model(self.SCHEMA, 0), self._toy(), ["zzz"])
+
+
+# every caller of score_entities, with the message it gives an empty selection
+SCORING_CALLERS = [
+    (score_entity_series, None),
+    (flip_flop_rate, "cannot evaluate flip-flops on an empty entity set"),
+    (tau_from_percentile, "cannot derive tau from an empty entity set"),
+    (functools.partial(evaluate_model, b=20), "cannot evaluate on an empty entity set"),
+]
+
+
+class TestScoreEntities:
+    SCHEMA = ("f_a", "f_b")
+
+    def _toy(self):
+        return _dataset(
+            self.SCHEMA,
+            [("e2", 0, 1.0, 9.0), ("e1", 1, 1.0, 9.0), ("e1", 0, 0.0, 9.0), ("e3", 0, 0.2, 9.0)],
+        )
+
+    def test_sorted_distinct_entities_their_rows_and_scores(self):
+        ds, model = self._toy(), _step_model(self.SCHEMA, 0)
+        entities, rows, scores = score_entities(model, ds, ["e3", "e1", "e3"])
+        assert entities == ["e1", "e3"]
+        assert rows.tolist() == ds.rows_for(["e1", "e3"]).tolist() == [0, 1, 3]
+        assert scores.tolist() == model.predict(ds.X[[0, 1, 3]]).tolist()
+        everything = score_entities(model, ds)
+        assert everything[0] == ["e1", "e2", "e3"] and everything[1].tolist() == [0, 1, 2, 3]
+
+    def test_rows_out_of_canonical_order_keep_their_entity(self):
+        ds = build_dataset(
+            self.SCHEMA, "int", np.array(["e2", "e2", "e1"]), np.array(["0", "1", "0"]),
+            np.array(["r"] * 3), np.array([1, 1, 1]), np.array([[0.0, 9.0], [1.0, 9.0], [1.0, 9.0]]),
+            sort=False,
+        )
+        model = _step_model(self.SCHEMA, 0)
+        series = score_entity_series(model, ds)
+        assert list(series) == ["e1", "e2"]
+        for e, scores in series.items():
+            start, stop = ds.entity_rows(e)
+            assert scores.tolist() == model.predict(ds.X[start:stop]).tolist()
+
+    def test_empty_selection_scores_no_rows(self):
+        entities, rows, scores = score_entities(_step_model(self.SCHEMA, 0), self._toy(), [])
+        assert entities == [] and rows.size == 0 and scores.size == 0
+
+    @pytest.mark.parametrize("caller, message", SCORING_CALLERS)
+    def test_empty_selection_message(self, caller, message):
+        if message is None:
+            assert caller(_step_model(self.SCHEMA, 0), self._toy(), []) == {}
+            return
+        with pytest.raises(ValueError) as exc:
+            caller(_step_model(self.SCHEMA, 0), self._toy(), [])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("caller", [c for c, _ in SCORING_CALLERS])
+    @pytest.mark.parametrize("ids", [["e1"], []])
+    def test_schema_message_comes_first(self, caller, ids):
+        with pytest.raises(ValueError) as exc:
+            caller(_step_model(("f_a",), 0), self._toy(), ids)
+        assert str(exc.value) == (
+            "model schema does not match dataset schema; model has 1 features, dataset 2"
+        )
+
+    @pytest.mark.parametrize("caller", [c for c, _ in SCORING_CALLERS])
+    def test_unknown_entity_message(self, caller):
+        with pytest.raises(ValueError) as exc:
+            caller(_step_model(self.SCHEMA, 0), self._toy(), ["e1", "zzz"])
+        assert str(exc.value) == "unknown entity id: 'zzz'"
 
 
 class TestHighCvEntities:
