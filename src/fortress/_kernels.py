@@ -6,6 +6,13 @@ version. The two are written against the same sequence of floating point
 operations (sequential prefix sums, identical expression shapes, no fused
 multiply-adds), so they produce bit-identical results; tests assert as much.
 
+The numpy split search scores one feature in a few array operations: it
+skips a feature without a value boundary in the node before its prefix
+sums, and stacks the two default directions for the missing rows into one
+array (the left sums at each threshold, then the same sums plus the missing
+rows), so one gain formula, one ``np.where`` and one ``np.maximum`` of the
+two halves score every candidate split of the feature.
+
 Backend selection happens once at import: numba is used when importable
 unless the environment variable ``FORTRESS_DISABLE_NUMBA`` is set to a
 non-empty value other than ``0``, in which case the numpy fallback runs.
@@ -132,52 +139,52 @@ def best_split_numpy(
     gamma,
     min_h,
 ):
-    """Pure-numpy split search; semantics identical to the numba kernel."""
+    """Pure-numpy split search; semantics identical to the numba kernel.
+
+    The gains of a feature's thresholds are one array ``[right | left]``:
+    entry ``k`` of each half sends the missing rows right or left at
+    threshold ``k``. The winner's direction is read back as
+    ``left >= right``, so a tie goes left as in the sequential loop.
+    """
     best_gain = _NEG_INF
     best_feature = -1
     best_threshold = np.nan
     best_default_left = False
     sub = g_total * g_total / (h_total + lam)
-    for j in active:
-        o = sort_rows[offsets[j]:offsets[j + 1]]
-        keep = in_node[o]
-        rows = o[keep]
-        m = rows.size
-        if m < 2:
-            continue
-        v = vals_sorted[offsets[j]:offsets[j + 1]][keep]
-        pg = np.cumsum(g[rows])
-        ph = np.cumsum(h[rows])
-        pos = np.nonzero(v[:-1] < v[1:])[0]
-        if pos.size == 0:
-            continue
-        g_miss = g_total - pg[m - 1]
-        h_miss = h_total - ph[m - 1]
-        gl = pg[pos]
-        hl = ph[pos]
-        gr = g_total - gl
-        hr = h_total - hl
-        gll = gl + g_miss
-        hll = hl + h_miss
-        grl = g_total - gll
-        hrl = h_total - hll
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw_right = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - sub) - gamma
-            raw_left = (
-                0.5 * (gll * gll / (hll + lam) + grl * grl / (hrl + lam) - sub) - gamma
-            )
-        valid_right = (hl >= min_h) & (hr >= min_h) & ~np.isnan(raw_right)
-        valid_left = (hll >= min_h) & (hrl >= min_h) & ~np.isnan(raw_left)
-        gain_right = np.where(valid_right, raw_right, _NEG_INF)
-        gain_left = np.where(valid_left, raw_left, _NEG_INF)
-        go_left = gain_left >= gain_right
-        gain = np.where(go_left, gain_left, gain_right)
-        k = int(np.argmax(gain))
-        if gain[k] > best_gain:
-            best_gain = float(gain[k])
-            best_feature = int(j)
-            best_threshold = float(0.5 * (v[pos[k]] + v[pos[k] + 1]))
-            best_default_left = bool(go_left[k])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in active:
+            start = offsets[j]
+            stop = offsets[j + 1]
+            o = sort_rows[start:stop]
+            keep = in_node[o]
+            v = vals_sorted[start:stop][keep]
+            m = v.size
+            if m < 2:
+                continue
+            pos = np.nonzero(v[:-1] < v[1:])[0]
+            if pos.size == 0:
+                continue
+            rows = o[keep]
+            pg = np.cumsum(g[rows])
+            ph = np.cumsum(h[rows])
+            gl = pg[pos]
+            hl = ph[pos]
+            gs = np.concatenate((gl, gl + (g_total - pg[m - 1])))
+            hs = np.concatenate((hl, hl + (h_total - ph[m - 1])))
+            gr = g_total - gs
+            hr = h_total - hs
+            raw = 0.5 * (gs * gs / (hs + lam) + gr * gr / (hr + lam) - sub) - gamma
+            gain = np.where((hs >= min_h) & (hr >= min_h) & ~np.isnan(raw), raw, _NEG_INF)
+            right = gain[:pos.size]
+            left = gain[pos.size:]
+            k = int(np.argmax(np.maximum(left, right)))
+            default_left = bool(left[k] >= right[k])
+            best_k = left[k] if default_left else right[k]
+            if best_k > best_gain:
+                best_gain = float(best_k)
+                best_feature = int(j)
+                best_threshold = float(0.5 * (v[pos[k]] + v[pos[k] + 1]))
+                best_default_left = default_left
     return best_gain, best_feature, best_threshold, best_default_left
 
 

@@ -54,6 +54,9 @@ _ID_RE = re.compile(r"[A-Za-z0-9_|.:-]+\Z")
 _INT_SNAPSHOT_RE = re.compile(r"\d+\Z")
 _DATE_SNAPSHOT_RE = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
 _FEATURE_NAME_RE = re.compile(r"f_[A-Za-z0-9_.:|-]+\Z")
+# the line ends a file opened with newline="" splits on, as the CSV reader
+# counts them in its line_num
+_LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -434,7 +437,8 @@ def _parse_rows(
     """Parse records one by one; the definition of every record check.
 
     ``line_no`` is the line of ``rows[0]`` and ``snapshot_kind`` the kind of
-    the records before it. Raises ``ValueError`` at the first bad record.
+    the records before it. A record spans one line plus the line breaks in
+    its quoted fields. Raises ``ValueError`` at the first bad record.
     """
     width = len(RESERVED_COLUMNS) + len(schema)
     d = len(schema)
@@ -443,7 +447,7 @@ def _parse_rows(
     regs: list[str] = []
     labs: list[int] = []
     vecs: list[np.ndarray] = []
-    for line_no, row in enumerate(rows, start=line_no):
+    for row in rows:
         if len(row) != width:
             raise ValueError(
                 f"{path}: line {line_no}: expected {width} fields, got {len(row)}"
@@ -456,7 +460,7 @@ def _parse_rows(
         kind = _snapshot_kind(snap)
         if kind is None:
             raise ValueError(
-                f"line {line_no}: snapshot_id {snap!r} is neither a non-negative "
+                f"{path}: line {line_no}: snapshot_id {snap!r} is neither a non-negative "
                 f"integer nor an ISO-8601 date (YYYY-MM-DD)"
             )
         if snapshot_kind is None:
@@ -495,6 +499,7 @@ def _parse_rows(
         snaps.append(snap)
         regs.append(reg)
         vecs.append(vec)
+        line_no += 1 + sum(len(_LINE_BREAK_RE.findall(cell)) for cell in row)
     return ents, snaps, regs, labs, np.vstack(vecs), snapshot_kind
 
 
@@ -571,7 +576,8 @@ def parse_csv(path: str | Path) -> SnapshotDataset:
     """
     path = Path(path)
     with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = _records(path, csv.reader(fh))
+        lines = csv.reader(fh)
+        reader = _records(path, lines)
         try:
             header = next(reader)
         except StopIteration:
@@ -606,7 +612,7 @@ def parse_csv(path: str | Path) -> SnapshotDataset:
         snapshot_kind: str | None = None
         checked_ids: set[str] = set()
         kinds: dict[str, str] = {}
-        line_no = 2
+        line_no = lines.line_num + 1  # the line of the chunk's first record
         while rows := list(islice(reader, _CHUNK_ROWS)):
             chunk = _screen_rows(rows, width, snapshot_kind, checked_ids, kinds)
             if chunk is None:
@@ -617,7 +623,7 @@ def parse_csv(path: str | Path) -> SnapshotDataset:
             labs += chunk[3]
             blocks.append(chunk[4])
             snapshot_kind = chunk[5]
-            line_no += len(rows)
+            line_no = lines.line_num + 1
 
     if snapshot_kind is None:
         snapshot_kind = "int"

@@ -284,12 +284,13 @@ class _WeightedAp:
 def _entity_bootstrap_input(
     labels: Sequence[int] | np.ndarray, entity_ids: Sequence[str] | np.ndarray, b: int,
     level: float, what: str, bootstrap: str, **scores: Sequence[float] | np.ndarray,
-) -> tuple[list[np.ndarray], np.ndarray, int, Callable[[np.ndarray], np.ndarray]]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, int, Callable[[np.ndarray], np.ndarray]]:
     """Checked input of an entity bootstrap over pooled rows: the named
-    ``scores`` as float arrays (in keyword order), the 0/1 labels, the number
-    of distinct entities, and a function from a draw of entity indices to
-    integer row weights. ``what`` names the statistic in the messages on
-    empty or non-finite input, ``bootstrap`` the procedure."""
+    ``scores`` as float arrays (in keyword order), the 0/1 labels, each row's
+    entity index, the number of distinct entities, and a function from a
+    draw of entity indices to integer row weights. ``what`` names the
+    statistic in the messages on empty or non-finite input, ``bootstrap``
+    the procedure."""
     arrays = [np.asarray(s, dtype=np.float64) for s in scores.values()]
     y = _check_binary_labels(labels)
     ents = np.asarray(entity_ids)
@@ -312,7 +313,7 @@ def _entity_bootstrap_input(
     def weights(draw: np.ndarray) -> np.ndarray:
         return np.bincount(draw, minlength=n_ent)[inverse].astype(np.float64)
 
-    return arrays, y, n_ent, weights
+    return arrays, y, inverse, n_ent, weights
 
 
 def paired_delta_significance(
@@ -331,18 +332,33 @@ def paired_delta_significance(
     interval reflects the paired difference, not two independent errors.
     ``significant_improvement`` is true iff the interval's lower bound is
     strictly positive.
+
+    Identical score arrays skip the weighted average precisions: every
+    resample's delta is then exactly ``0.0``, and a resample is undefined
+    exactly when it draws no entity with a positive row.
     """
-    (sa, sb), y, n_ent, weights = _entity_bootstrap_input(
+    (sa, sb), y, entity_of_row, n_ent, weights = _entity_bootstrap_input(
         labels, entity_ids, b, level, "paired delta", "paired bootstrap",
         scores_a=scores_a, scores_b=scores_b,
     )
-    point = pr_auc(sb, y) - pr_auc(sa, y)
-    ap_a = _WeightedAp(sa, y)
-    ap_b = _WeightedAp(sb, y)
+    if np.array_equal(sa, sb):
+        ap = pr_auc(sa, y)
+        point = ap - ap
+        positive = np.zeros(n_ent, dtype=np.bool_)
+        positive[entity_of_row[y == 1.0]] = True
 
-    def delta(draw: np.ndarray) -> float:
-        w = weights(draw)
-        return ap_b.ap(w) - ap_a.ap(w)
+        def delta(draw: np.ndarray) -> float:
+            if not positive[draw].any():
+                raise ValueError("no positive rows in resample")
+            return 0.0
+    else:
+        point = pr_auc(sb, y) - pr_auc(sa, y)
+        ap_a = _WeightedAp(sa, y)
+        ap_b = _WeightedAp(sb, y)
+
+        def delta(draw: np.ndarray) -> float:
+            w = weights(draw)
+            return ap_b.ap(w) - ap_a.ap(w)
 
     lo, hi = _percentile_interval(delta, n_ent, b, seed, level, "paired bootstrap")
     ci = ConfidenceInterval(point=point, lo=lo, hi=hi, level=level, resamples=b, seed=seed)
@@ -364,7 +380,7 @@ def bootstrap_pr_auc_ci(
     a drawn entity are carried as integer weights instead, which gives the
     same values (up to float summation order) without re-sorting per resample.
     """
-    (s,), y, n_ent, weights = _entity_bootstrap_input(
+    (s,), y, _, n_ent, weights = _entity_bootstrap_input(
         labels, entity_ids, b, level, "pr_auc", "bootstrap", scores=scores
     )
     point = pr_auc(s, y)

@@ -19,14 +19,19 @@ feature won no split in those trees, but only while ``col_subsample == 1.0``:
 the per-round column draw depends on the active feature set, so with column
 subsampling each candidate is trained from round 0 (see ``model.train``).
 
-Candidates are evaluated ahead of the one being decided, on forked worker
+A candidate the current model never splits on would be retrained into the
+current model itself (every tree taken over), so it is settled in this
+process without a retrain: its VAL scores and CV are the current ones, and
+its paired bootstrap compares the current scores with themselves. The other
+candidates are evaluated ahead of the one being decided, on forked worker
 processes: one per CPU in the process's affinity set (``taskset`` restricts
-them), at most one per candidate left. The gate still commits strictly in
-candidate order. An acceptance drops the results computed against the old
-model and restarts from the next candidate, so every artifact is
-byte-identical to a serial pass. With one CPU, without ``fork``, inside a
-daemonic process, or while other threads run, the pass runs serially in the
-calling process.
+them), at most one per candidate left to retrain, and none when no such
+candidate is left. The gate still commits strictly in candidate order. An
+acceptance drops the results computed against the old model, classifies the
+remaining candidates again, and restarts from the next candidate, so every
+artifact is byte-identical to a serial pass. With one CPU, without
+``fork``, inside a daemonic process, or while other threads run, the pass
+runs serially in the calling process.
 
 ``experiment_table`` reruns the surrounding comparisons (single-snapshot and
 multi-snapshot trainings, full and stable-only feature sets) and evaluates
@@ -67,7 +72,14 @@ from fortress.metrics import (
     paired_delta_significance,
     pr_auc,
 )
-from fortress.model import BoostedModel, TrainConfig, TrainMatrix, mask_from_names, train
+from fortress.model import (
+    BoostedModel,
+    TrainConfig,
+    TrainMatrix,
+    _reusable_prefix,
+    mask_from_names,
+    train,
+)
 from fortress.rng import mix64
 from fortress.stability import (
     StabilityReport,
@@ -276,9 +288,18 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _keeps_every_tree(
+    model: BoostedModel, tm: TrainMatrix, config: TrainConfig, mask: np.ndarray
+) -> bool:
+    """Whether retraining on (tm, config, mask) from ``model`` would take over
+    all of its trees (see ``model._reusable_prefix``), which makes the retrain
+    ``model`` itself: the same trees and the same scores."""
+    return len(_reusable_prefix(model, tm, config, mask)) == config.rounds
+
+
 @contextlib.contextmanager
 def _in_candidate_order(
-    evaluate: Callable[[int], Any], indices: range
+    evaluate: Callable[[int], Any], indices: Sequence[int]
 ) -> Iterator[Iterator[Any]]:
     """Yield an iterator of ``evaluate(i)`` for ``i`` in ``indices``, in order.
 
@@ -339,7 +360,7 @@ def _serve(evaluate: Callable[[int], Any], conn) -> None:
         conn.send(reply)
 
 
-def _dispatch(conns: list, indices: range) -> Iterator[Any]:
+def _dispatch(conns: list, indices: Sequence[int]) -> Iterator[Any]:
     """Results for ``indices`` in order, from workers fed one index at a time."""
     from multiprocessing.connection import wait
 
@@ -425,15 +446,8 @@ def _fortress_core(
         out[col_of[candidates[i]]] = False
         return out
 
-    def evaluate(model: BoostedModel, scores: np.ndarray, mask: np.ndarray, i: int):
-        """Candidate ``i`` against the state (model, scores, mask): retrain
-        without it, score VAL, and compare."""
-        tentative = train(
-            tm, config=cfg.train, mask=without(mask, i), schema=dataset.schema,
-            warm_start=model,
-        )
-        scores2 = tentative.predict(X_val)
-        outcome = paired_delta_significance(
+    def compare(scores: np.ndarray, scores2: np.ndarray, i: int):
+        return paired_delta_significance(
             scores,
             scores2,
             y_val,
@@ -442,15 +456,39 @@ def _fortress_core(
             seed=mix64(cfg.seed, i),
             level=cfg.level,
         )
+
+    def evaluate(model: BoostedModel, scores: np.ndarray, mask: np.ndarray, i: int):
+        """Candidate ``i`` against the state (model, scores, mask): retrain
+        without it, score VAL, and compare."""
+        tentative = train(
+            tm, config=cfg.train, mask=without(mask, i), schema=dataset.schema,
+            warm_start=model,
+        )
+        scores2 = tentative.predict(X_val)
+        outcome = compare(scores, scores2, i)
         cv2 = mean_entity_cv(dataset.split_by_entity(val_entities, scores2))
         return outcome, cv2, scores2, tentative.trees, tentative.rounds_reused
 
     iterations: list[PruneIteration] = []
     start = 0
     while start < len(candidates):
+        remaining = range(start, len(candidates))
+        unchanged = {
+            i for i in remaining
+            if _keeps_every_tree(cur_model, tm, cfg.train, without(cur_mask, i))
+        }
         step = functools.partial(evaluate, cur_model, cur_scores, cur_mask)
-        with _in_candidate_order(step, range(start, len(candidates))) as results:
-            for i, (outcome, cv2, scores2, trees, reused) in enumerate(results, start):
+        retrain = [i for i in remaining if i not in unchanged]
+        with _in_candidate_order(step, retrain) as retrained:
+            for i in remaining:
+                if i in unchanged:
+                    # what evaluate(i) returns, without retraining or scoring
+                    outcome = compare(cur_scores, cur_scores, i)
+                    cv2, scores2, trees, reused = (
+                        cur_cv, cur_scores, cur_model.trees, cfg.train.rounds
+                    )
+                else:
+                    outcome, cv2, scores2, trees, reused = next(retrained)
                 if cfg.mode == STRICT:
                     accepted = outcome.significant_improvement
                 else:

@@ -70,3 +70,71 @@ def random_ap_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray
     if labels.sum() == 0:
         labels[int(rng.integers(0, n))] = 1.0
     return scores, labels
+
+
+def reference_best_split(
+    vals_sorted, sort_rows, offsets, in_node, g, h, g_total, h_total, active, lam, gamma,
+    min_h,
+):
+    """Exact greedy split search as one sequential loop per feature.
+
+    Same arguments and result as ``fortress._kernels.best_split_numpy``:
+    ``(gain, feature, threshold, default_left)`` of the best split, or
+    ``(-inf, -1, nan, False)`` when the node has no candidate. Prefix sums
+    run in presort order; each threshold between two distinct present values
+    scores both directions for the missing rows, a tied direction goes left,
+    and a tied gain keeps the earlier feature and threshold.
+    """
+    best_gain = float("-inf")
+    best_feature = -1
+    best_threshold = float("nan")
+    best_default_left = False
+    sub = g_total * g_total / (h_total + lam)
+    for j in active:
+        gv, hv, vv = [], [], []
+        for p in range(offsets[j], offsets[j + 1]):
+            r = sort_rows[p]
+            if in_node[r]:
+                gv.append(g[r])
+                hv.append(h[r])
+                vv.append(vals_sorted[p])
+        m = len(vv)
+        if m < 2:
+            continue
+        for q in range(1, m):
+            gv[q] = gv[q] + gv[q - 1]
+            hv[q] = hv[q] + hv[q - 1]
+        g_miss = g_total - gv[m - 1]
+        h_miss = h_total - hv[m - 1]
+        for i in range(m - 1):
+            if not (vv[i] < vv[i + 1]):
+                continue
+            threshold = 0.5 * (vv[i] + vv[i + 1])
+            gl = gv[i]
+            hl = hv[i]
+            gr = g_total - gl
+            hr = h_total - hl
+            gain_right = float("-inf")
+            if hl >= min_h and hr >= min_h:
+                gain_right = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - sub) - gamma
+            gll = gl + g_miss
+            hll = hl + h_miss
+            grl = g_total - gll
+            hrl = h_total - hll
+            gain_left = float("-inf")
+            if hll >= min_h and hrl >= min_h:
+                gain_left = (
+                    0.5 * (gll * gll / (hll + lam) + grl * grl / (hrl + lam) - sub) - gamma
+                )
+            if gain_left >= gain_right:
+                gain = gain_left
+                default_left = True
+            else:
+                gain = gain_right
+                default_left = False
+            if gain > best_gain:
+                best_gain = float(gain)
+                best_feature = int(j)
+                best_threshold = float(threshold)
+                best_default_left = bool(default_left)
+    return best_gain, best_feature, best_threshold, best_default_left

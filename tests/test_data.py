@@ -391,6 +391,38 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 3"):
             parse_csv(path)
 
+    def test_bad_snapshot_id_message(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("entity_id,snapshot_id,region,label,f_a\ne,xx,r,GOOD,1.0\n")
+        with pytest.raises(ValueError) as exc:
+            parse_csv(path)
+        assert str(exc.value) == (
+            f"{path}: line 2: snapshot_id 'xx' is neither a non-negative integer "
+            "nor an ISO-8601 date (YYYY-MM-DD)"
+        )
+
+    @pytest.mark.parametrize("good", [3, 70], ids=["same-chunk", "next-chunk"])
+    @pytest.mark.parametrize(
+        "cell, breaks", [('"1.0\n"', 1), ('"\r\n1.0\r\n\r"', 3)], ids=["lf", "crlf-cr"]
+    )
+    def test_line_numbers_count_line_breaks_in_quoted_cells(
+        self, tmp_path, good, cell, breaks
+    ):
+        # a record whose quoted cell spans lines, then good records, then a
+        # bad one in the same chunk or in the next
+        path = tmp_path / "bad.csv"
+        body = (
+            "entity_id,snapshot_id,region,label,f_a\n"
+            f"e,0,r,GOOD,{cell}\n"
+            + "".join(f"e,{k},r,GOOD,1.0\n" for k in range(1, good + 1))
+            + f"e,{good + 1},r,GOOD,abc\n"
+        )
+        path.write_bytes(body.encode())
+        with pytest.raises(ValueError) as exc:
+            parse_csv(path)
+        line = 1 + (1 + breaks) + good + 1
+        assert str(exc.value) == f"{path}: line {line}: feature 'f_a': unparseable value 'abc'"
+
     @pytest.mark.parametrize(
         "body, line",
         [

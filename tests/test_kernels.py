@@ -1,4 +1,5 @@
-"""Backend parity: the numba kernels and the numpy fallbacks must agree bitwise."""
+"""Kernel checks: the numpy split search equals a sequential reference bit for
+bit, and the numba kernels and the numpy fallbacks agree bitwise."""
 
 from __future__ import annotations
 
@@ -10,9 +11,19 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fortress import _kernels as K
-from fortress.model import TrainConfig, TrainMatrix, dumps_canonical, serialize, train
+from fortress.model import (
+    TrainConfig,
+    TrainMatrix,
+    _node_sums,
+    dumps_canonical,
+    serialize,
+    train,
+)
+from oracles import reference_best_split
 
 needs_numba = pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
 
@@ -46,6 +57,69 @@ def _split_inputs(rng, n=60, d=5, missing=0.3, ties=True):
     active = np.arange(d, dtype=np.int64)
     return (vals_sorted, sort_rows, offsets, in_node, g, h, g_total, h_total,
             active, 1.0, 0.0, 1e-3)
+
+
+@st.composite
+def _split_nodes(draw):
+    """Arguments of one split search: coarse or fine values (tied values,
+    and tied gains when every gradient is equal), missing cells, a column
+    duplicated from column 0 (tied gains across features), an active
+    subset, a node of any size down to empty, and regularization at the
+    edges ``TrainConfig`` allows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 6))
+    X = np.floor(rng.random((n, d)) * draw(st.sampled_from([2, 5, 1000])))
+    X[:, d - 1] = X[:, 0]
+    X[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = np.nan
+    y = (rng.random(n) < 0.5).astype(np.float64)
+    vals_sorted, sort_rows, offsets = TrainMatrix(X, y).presort
+    if draw(st.booleans()):
+        margins = rng.normal(scale=draw(st.sampled_from([0.5, 4.0])), size=n)
+    else:
+        margins = np.zeros(n)  # the first round: one gradient per label
+    p = 1.0 / (1.0 + np.exp(-margins))
+    g = p - y
+    h = p * (1.0 - p)
+    in_node = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    rows = np.nonzero(in_node)[0]
+    g_total, h_total = _node_sums(g, h, rows) if rows.size else (0.0, 0.0)
+    active = np.array(sorted(draw(st.sets(st.integers(0, d - 1)))), dtype=np.int64)
+    # TrainConfig rejects l2_lambda == min_child_hessian == 0; an empty node
+    # has h_total == 0, so it needs l2_lambda > 0 for the parent score
+    lam, min_h = draw(st.tuples(
+        st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 1e-3, 1.0])
+    ).filter(lambda lh: lh[0] > 0.0 or (lh[1] > 0.0 and rows.size > 0)))
+    gamma = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    return (vals_sorted, sort_rows, offsets, in_node, g, h, g_total, h_total,
+            active, lam, gamma, min_h)
+
+
+def _split_bits(result):
+    gain, feature, threshold, default_left = result
+    return float(gain).hex(), int(feature), float(threshold).hex(), bool(default_left)
+
+
+class TestSplitSearchOracle:
+    """``best_split_numpy`` against the sequential loop of ``tests/oracles.py``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(args=_split_nodes())
+    def test_bitwise_equal_to_sequential_reference(self, args):
+        assert _split_bits(K.best_split_numpy(*args)) == _split_bits(
+            reference_best_split(*args)
+        )
+
+    def test_no_candidate_returns_sentinel(self, rng):
+        args = list(_split_inputs(rng, n=8))
+        args[3] = np.zeros_like(args[3])  # empty node
+        args[6] = args[7] = 0.0
+        sentinel = (float("-inf").hex(), -1, float("nan").hex(), False)
+        assert _split_bits(K.best_split_numpy(*args)) == sentinel
+        assert _split_bits(reference_best_split(*args)) == sentinel
+        args = list(_split_inputs(rng, n=8))
+        args[8] = np.empty(0, dtype=np.int64)  # no active feature
+        assert _split_bits(K.best_split_numpy(*args)) == sentinel
 
 
 @needs_numba

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fortress import metrics
@@ -414,6 +414,39 @@ class TestBootstrapGolden:
         assert out.significant_improvement is False
         assert failed_draws["n"] == 18
 
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        """Counts the resamples drawn, defined or not."""
+        count = {"n": 0}
+        real = metrics.spawn
+
+        def counting(seed, attempt):
+            count["n"] += 1
+            return real(seed, attempt)
+
+        monkeypatch.setattr(metrics, "spawn", counting)
+        return count
+
+    def test_paired_delta_of_identical_scores(self, attempts):
+        out = paired_delta_significance(self.SA, self.SA, self.LABELS, self.ENTS, b=30, seed=9)
+        assert self._hex(out.delta) == ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0")
+        assert out.significant_improvement is False
+        assert attempts["n"] == 30 + 18  # the same redraws as SA against SB
+
+    def test_identical_scores_undefined_too_often(self, monkeypatch):
+        class FirstEntityOnly:
+            """Draws entity e0, which has no positive row, every time."""
+
+            def integers(self, low, high, size):
+                return np.zeros(size, dtype=np.int64)
+
+        monkeypatch.setattr(metrics, "spawn", lambda seed, attempt: FirstEntityOnly())
+        with pytest.raises(ValueError) as exc:
+            paired_delta_significance(self.SA, self.SA, self.LABELS, self.ENTS, b=4, seed=0)
+        assert str(exc.value) == (
+            "paired bootstrap undefined too often: 0 of 4 resamples after 40 attempts"
+        )
+
     def test_undefined_too_often_messages(self, monkeypatch):
         def point_only(e):
             if e.size == 5 and np.array_equal(e, np.arange(5)):
@@ -501,3 +534,44 @@ class TestBootstrapGolden:
         with pytest.raises(ValueError) as exc:
             paired_delta_significance(**{**args, **kwargs})
         assert str(exc.value) == message
+
+
+def _paired_outcome(sa, sb, labels, ents, b, seed):
+    """Hex interval, verdict and resample count of a paired bootstrap, or its
+    error message and resample count."""
+    count = {"n": 0}
+    real = metrics.spawn
+
+    def counting(seed, attempt):
+        count["n"] += 1
+        return real(seed, attempt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "spawn", counting)
+        try:
+            out = paired_delta_significance(sa, sb, labels, ents, b=b, seed=seed)
+        except ValueError as exc:
+            return str(exc), count["n"]
+    d = out.delta
+    return (d.point.hex(), d.lo.hex(), d.hi.hex(), out.significant_improvement), count["n"]
+
+
+class TestIdenticalScores:
+    """``paired_delta_significance`` of a model against itself equals the
+    general bootstrap, which it reaches when ``np.array_equal`` says no."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(2, 40))
+    def test_equals_the_general_bootstrap(self, seed, b):
+        rng = np.random.default_rng(seed)
+        n_ent = int(rng.integers(2, 9))
+        ents = np.repeat([f"e{k}" for k in range(n_ent)], rng.integers(1, 4, size=n_ent))
+        n = ents.size
+        scores = rng.choice(rng.random(int(rng.integers(1, 5))), size=n)  # ties
+        labels = (rng.random(n) < rng.uniform(0.05, 0.5)).astype(np.float64)
+        labels[int(rng.integers(0, n))] = 1.0
+        fast = _paired_outcome(scores, scores.copy(), labels, ents, b, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "array_equal", lambda a, b: False)
+            slow = _paired_outcome(scores, scores.copy(), labels, ents, b, seed)
+        assert fast == slow

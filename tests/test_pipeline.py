@@ -450,3 +450,77 @@ class TestCandidateWorkers:
             release.set()
             waiter.join(timeout=60)
         assert not waiter.is_alive()
+
+
+def _classified(monkeypatch):
+    """Records ``(dropped column, settled)`` for every candidate the prune
+    loop classifies."""
+    seen = []
+    real = pipeline._keeps_every_tree
+
+    def recording(model, tm, config, mask):
+        settled = real(model, tm, config, mask)
+        seen.append((int(np.nonzero(model.mask & ~mask)[0][0]), settled))
+        return settled
+
+    monkeypatch.setattr(pipeline, "_keeps_every_tree", recording)
+    return seen
+
+
+class TestSettledCandidates:
+    """A candidate the current model never splits on is settled in the
+    calling process, with the outcome its retrain would have had."""
+
+    # noninferior: an acceptance makes a settled candidate a used feature
+    NONINFERIOR = PipelineConfig(
+        train=TrainConfig(rounds=25), bootstrap_b=60, candidates=12, mode=NON_INFERIOR,
+        seed=5,
+    )
+    STRICT = PipelineConfig(
+        train=TrainConfig(rounds=25), bootstrap_b=60, candidates=12, seed=5
+    )
+    # two-level trees over six rounds split on none of the candidates
+    UNUSED = PipelineConfig(
+        train=TrainConfig(rounds=6, max_depth=2), bootstrap_b=60, candidates=8,
+        mode=NON_INFERIOR, seed=5,
+    )
+
+    @pytest.mark.parametrize("cfg", [NONINFERIOR, STRICT], ids=["noninferior", "strict"])
+    def test_settling_equals_retraining(self, monkeypatch, cfg):
+        dataset, _ = generate(SMALL_SYNTH)
+        seen = _classified(monkeypatch)
+        settled = _at_workers(monkeypatch, 1, lambda: fortress_run(dataset, cfg))
+        assert any(s for _, s in seen) and not all(s for _, s in seen)
+        if cfg.mode == NON_INFERIOR:
+            assert any(it.accepted for it in settled.trace.iterations)
+            # classification is redone after an acceptance, and a column
+            # settled against the old model is retrained against the new one
+            first = {}
+            for j, s in seen:
+                first.setdefault(j, s)
+            assert any(first[j] and not s for j, s in seen)
+        monkeypatch.setattr(pipeline, "_keeps_every_tree", lambda *args: False)
+        retrained = _at_workers(monkeypatch, 1, lambda: fortress_run(dataset, cfg))
+        assert _artifacts(settled) == _artifacts(retrained)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_no_worker_starts_when_every_candidate_is_unused(self, monkeypatch):
+        dataset, _ = generate(SMALL_SYNTH)
+
+        def run():
+            return _artifacts(fortress_run(dataset, self.UNUSED))
+
+        monkeypatch.setattr(pipeline, "_keeps_every_tree", lambda *args: False)
+        retrained = _at_workers(monkeypatch, 2, run)
+        monkeypatch.undo()
+
+        def no_pool(method=None):
+            raise AssertionError("a worker was started")
+
+        seen = _classified(monkeypatch)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        settled = _at_workers(monkeypatch, 2, run)
+        assert len(seen) == self.UNUSED.candidates and all(s for _, s in seen)
+        assert settled == retrained
