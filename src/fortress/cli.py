@@ -45,11 +45,13 @@ import numpy as np
 from fortress.data import (
     PartitionAssignment,
     SnapshotDataset,
+    check_fractions,
     parse_csv,
     partition_entities,
     write_csv,
 )
-from fortress.flipflop import flip_flop_rate, relative_reduction, tau_from_percentile
+from fortress.flipflop import check_tau, flip_flop_rate, relative_reduction, tau_from_percentile
+from fortress.metrics import check_bootstrap_params, check_percentile
 from fortress.model import (
     TrainConfig,
     TrainMatrix,
@@ -179,9 +181,17 @@ def _eval_params(config: dict, args: argparse.Namespace) -> tuple[int, float]:
     unknown = set(section) - _EVAL_SECTION_FIELDS
     if unknown:
         raise ValueError(f"unknown eval config fields: {sorted(unknown)}")
-    b = args.bootstrap_b if args.bootstrap_b is not None else int(section.get("bootstrap_b", 1000))
-    level = float(section.get("level", 0.95))
+    b = args.bootstrap_b if args.bootstrap_b is not None else section.get("bootstrap_b", 1000)
+    level = section.get("level", 0.95)
+    check_bootstrap_params(b, level)
     return b, level
+
+
+def _fractions(args: argparse.Namespace) -> tuple[float, float, float]:
+    """The checked ``--fractions``, or the default ones."""
+    if not getattr(args, "fractions", None):
+        return DEFAULT_FRACTIONS
+    return check_fractions(_parse_fractions(args.fractions))
 
 
 def _parse_fractions(text: str) -> tuple[float, float, float]:
@@ -207,27 +217,35 @@ def _load_partition(path: str | Path) -> PartitionAssignment:
     return PartitionAssignment.from_dict(_read_json_file(path))
 
 
-def _scope(
-    dataset: SnapshotDataset, args: argparse.Namespace, default_part: str
-) -> tuple[PartitionAssignment | None, str]:
-    """Resolve --partition/--part/--salt/--fractions into a working scope.
+@dataclasses.dataclass(frozen=True)
+class _Scope:
+    """The working scope of --partition/--part/--salt/--fractions, resolved
+    before any data is read. ``part`` ``"all"`` means the whole dataset;
+    otherwise the partition is the one loaded from ``--partition``, or is
+    computed from the dataset with ``fractions`` and ``salt``."""
 
-    Returns ``(partition, part)`` where a ``None`` partition means the whole
-    dataset (part ``"all"``).
-    """
+    part: str
+    partition: PartitionAssignment | None = None
+    fractions: tuple[float, float, float] | None = None
+    salt: str = DEFAULT_SALT
+
+    def resolve(self, dataset: SnapshotDataset) -> PartitionAssignment | None:
+        if self.fractions is None:
+            return self.partition
+        return partition_entities(dataset, self.fractions, self.salt)
+
+
+def _scope(args: argparse.Namespace, default_part: str) -> _Scope:
     part = getattr(args, "part", None)
     if getattr(args, "partition", None):
         if part == "all":
             raise ValueError("--part all cannot be combined with --partition")
         # flag values are lowercase; partition names are canonical uppercase
-        return _load_partition(args.partition), (part or default_part).upper()
+        return _Scope((part or default_part).upper(), partition=_load_partition(args.partition))
     if part is None or part == "all":
-        return None, "all"
-    fractions = (
-        _parse_fractions(args.fractions) if getattr(args, "fractions", None) else DEFAULT_FRACTIONS
-    )
+        return _Scope("all")
     salt = getattr(args, "salt", None) or DEFAULT_SALT
-    return partition_entities(dataset, fractions, salt), part.upper()
+    return _Scope(part.upper(), fractions=_fractions(args), salt=salt)
 
 
 def _select_entities(
@@ -278,8 +296,8 @@ def _cmd_gen(args: argparse.Namespace) -> None:
 
 
 def _cmd_split(args: argparse.Namespace) -> None:
+    fractions = _fractions(args)
     dataset = parse_csv(args.data)
-    fractions = _parse_fractions(args.fractions) if args.fractions else DEFAULT_FRACTIONS
     partition = partition_entities(dataset, fractions, args.salt or DEFAULT_SALT)
     _write_json(args.out, partition.to_dict())
     log.info("partition counts: %s", partition.counts())
@@ -289,9 +307,9 @@ def _cmd_train(args: argparse.Namespace) -> None:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
     cfg = _train_config(config, seed)
+    scope = _scope(args, default_part="train")
     dataset = parse_csv(args.data)
-    partition, part = _scope(dataset, args, default_part="train")
-    rows = _select_rows(dataset, partition, part)
+    rows = _select_rows(dataset, scope.resolve(dataset), scope.part)
     if rows.size == 0:
         raise ValueError("no rows selected for training")
     mask = None
@@ -304,19 +322,20 @@ def _cmd_train(args: argparse.Namespace) -> None:
     model = train(tm, config=cfg, mask=mask, schema=dataset.schema)
     save_model(model, args.out)
     _write_sidecar(args.out, {"kind": "run_config", "seed": seed, "train": cfg.to_dict()})
-    log.info("trained on %d rows (%s scope); model -> %s", rows.size, part, args.out)
+    log.info("trained on %d rows (%s scope); model -> %s", rows.size, scope.part, args.out)
 
 
 def _cmd_stability(args: argparse.Namespace) -> None:
+    check_percentile(args.percentile)
+    scope = _scope(args, default_part="val")
     dataset = parse_csv(args.data)
     model = load_model(args.model)
-    partition, part = _scope(dataset, args, default_part="val")
-    entities = _select_entities(dataset, partition, part)
+    entities = _select_entities(dataset, scope.resolve(dataset), scope.part)
     report = build_stability_report(model, dataset, entities, percentile=args.percentile)
     _write_json(args.out, report.to_dict())
     log.info(
         "stability on %d entities (%s scope): threshold %.4f, %d high-CV",
-        len(entities), part, report.cv_threshold, len(report.high_cv_entities),
+        len(entities), scope.part, report.cv_threshold, len(report.high_cv_entities),
     )
 
 
@@ -340,10 +359,10 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
     b, level = _eval_params(config, args)
+    scope = _scope(args, default_part="test")
     dataset = parse_csv(args.data)
     model = load_model(args.model)
-    partition, part = _scope(dataset, args, default_part="test")
-    entities = _select_entities(dataset, partition, part)
+    entities = _select_entities(dataset, scope.resolve(dataset), scope.part)
     report = evaluate_model(model, dataset, entities, b=b, seed=seed, level=level)
     _write_json(args.out, report.to_dict())
     _write_sidecar(
@@ -351,16 +370,21 @@ def _cmd_eval(args: argparse.Namespace) -> None:
         {"kind": "run_config", "seed": seed, "eval": {"bootstrap_b": b, "level": level}},
     )
     log.info(
-        "eval on %d entities (%s scope): pr_auc=%.4f", len(entities), part, report.pr_auc.point
+        "eval on %d entities (%s scope): pr_auc=%.4f", len(entities), scope.part,
+        report.pr_auc.point,
     )
 
 
 def _cmd_flipflop(args: argparse.Namespace) -> None:
+    if args.tau is not None:
+        check_tau(args.tau)
+    if args.tau_percentile is not None:
+        check_percentile(args.tau_percentile)
+    scope = _scope(args, default_part="test")
     dataset = parse_csv(args.data)
     model = load_model(args.model)
     base = load_model(args.base_model) if args.base_model else None
-    partition, part = _scope(dataset, args, default_part="test")
-    entities = _select_entities(dataset, partition, part)
+    entities = _select_entities(dataset, scope.resolve(dataset), scope.part)
     if args.tau_percentile is not None:
         tau = tau_from_percentile(base or model, dataset, entities, args.tau_percentile)
     elif args.tau is not None:
@@ -373,12 +397,12 @@ def _cmd_flipflop(args: argparse.Namespace) -> None:
         _write_json(args.out, comparison.to_dict())
         log.info(
             "flip-flop (%s scope) tau=%.4f: base %.4f -> %.4f",
-            part, tau, comparison.base.overall.rate, comparison.improved.overall.rate,
+            scope.part, tau, comparison.base.overall.rate, comparison.improved.overall.rate,
         )
     else:
         _write_json(args.out, report.to_dict())
         log.info(
-            "flip-flop (%s scope) tau=%.4f: rate %.4f", part, tau, report.overall.rate
+            "flip-flop (%s scope) tau=%.4f: rate %.4f", scope.part, tau, report.overall.rate
         )
 
 

@@ -78,6 +78,12 @@ class FlipFlopComparison:
         }
 
 
+def check_tau(tau: float) -> None:
+    """Raise ``ValueError`` unless the admission threshold is finite."""
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
+
+
 def flip_flop_rate(
     model: BoostedModel,
     dataset: SnapshotDataset,
@@ -96,8 +102,7 @@ def flip_flop_rate(
         ValueError: schema mismatch, unknown entities, non-finite tau, or no
             entity with 2 or more snapshots.
     """
-    if not np.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau!r}")
+    check_tau(tau)
     entities, _, scores = score_entities(model, dataset, entity_ids)
     if not entities:
         raise ValueError("cannot evaluate flip-flops on an empty entity set")

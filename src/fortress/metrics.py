@@ -4,9 +4,12 @@ Scores live at the (entity, snapshot) level but entities are the sampling
 unit, so every confidence interval here uses an entity-level (cluster)
 bootstrap: entities are resampled with replacement and each drawn entity
 carries all of its snapshot rows into the resample. One loop,
-``_percentile_interval``, draws every resample: attempt ``a`` uses a
-generator seeded with ``mix64(seed, a)``, which makes every interval
-reproducible from (data, seed) alone.
+``_percentile_interval``, draws every resample: attempt ``a`` draws the
+indices of ``spawn(seed, a)`` (``mix64(seed, a)``), which makes every
+interval reproducible from (data, seed) alone. The loop takes the attempts
+in bounded batches from :class:`fortress.rng.BootstrapDraws`, which returns
+the same indices bit for bit, and the average-precision bootstraps score a
+whole batch as 2-D integer cumulative sums.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from fortress.rng import spawn
+from fortress.rng import BootstrapDraws
 
 MEAN = "mean"
 ABS_MEAN_EPS = "abs_mean_eps"
 _CV_MODES = (MEAN, ABS_MEAN_EPS)
 _CV_EPS = 1e-12
+# resamples times the row width a bootstrap batch may hold at once
+_BATCH_ELEMENTS = 8192
 
 
 @dataclass
@@ -151,11 +156,12 @@ def pr_auc(scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndar
 
 
 def _increments(recall: np.ndarray) -> np.ndarray:
-    """``np.diff(recall, prepend=0.0)`` bit for bit, without its concatenate:
-    the first increment is ``recall[0] - 0.0``, which is ``recall[0]``."""
+    """``np.diff(recall, prepend=0.0)`` along the last axis, bit for bit,
+    without its concatenate: the first increment is ``recall[..., 0] - 0.0``,
+    which is ``recall[..., 0]``."""
     d = np.empty_like(recall)
-    d[0] = recall[0]
-    np.subtract(recall[1:], recall[:-1], out=d[1:])
+    d[..., 0] = recall[..., 0]
+    np.subtract(recall[..., 1:], recall[..., :-1], out=d[..., 1:])
     return d
 
 
@@ -176,18 +182,35 @@ def percentile_nearest_rank(values: Sequence[float] | np.ndarray, p: float) -> f
         raise ValueError("percentile of an empty sequence is undefined")
     if not np.all(np.isfinite(arr)):
         raise ValueError("percentile is undefined for non-finite values")
-    if not (0.0 < p <= 100.0):
-        raise ValueError(f"percentile p must be in (0, 100], got {p!r}")
+    check_percentile(p)
     n = arr.size
     rank = math.ceil(p * n / 100.0 - 1e-9)
     rank = min(max(rank, 1), n)
     return float(np.sort(arr, kind="stable")[rank - 1])
 
 
+def check_number(value: object, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int or a float (numpy's
+    included, ``bool`` not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def check_percentile(p: float) -> None:
+    """Raise ``ValueError`` unless ``p`` is a number in (0, 100]."""
+    check_number(p, "percentile p")
+    if not (0.0 < p <= 100.0):
+        raise ValueError(f"percentile p must be in (0, 100], got {p!r}")
+
+
 def check_bootstrap_params(b: int, level: float) -> None:
-    """Raise ``ValueError`` unless ``b >= 2`` resamples and ``0 < level < 1``."""
+    """Raise ``ValueError`` unless ``b`` is an integer >= 2 and ``level`` a
+    number in (0, 1)."""
+    if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
+        raise ValueError(f"bootstrap resamples must be an integer, got {b!r}")
     if b < 2:
         raise ValueError(f"bootstrap needs at least 2 resamples, got {b}")
+    check_number(level, "level")
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must be in (0, 1), got {level!r}")
 
@@ -219,76 +242,125 @@ def bootstrap_ci(
         raise ValueError(f"bootstrap needs at least 2 entities, got {n}")
     check_bootstrap_params(b, level)
     point = float(statistic(arr))
-    lo, hi = _percentile_interval(
-        lambda idx: float(statistic(arr[idx])), n, b, seed, level, "bootstrap statistic"
-    )
+
+    def defined_values(draws: np.ndarray) -> np.ndarray:
+        values = []
+        for idx in draws:
+            try:
+                values.append(float(statistic(arr[idx])))
+            except ValueError:
+                continue
+        return np.array(values, dtype=np.float64)
+
+    lo, hi = _percentile_interval(defined_values, n, b, seed, level, "bootstrap statistic", n)
     return ConfidenceInterval(point=point, lo=lo, hi=hi, level=level, resamples=b, seed=seed)
 
 
 def _percentile_interval(
-    statistic_of_draw: Callable[[np.ndarray], float], n: int, b: int, seed: int,
-    level: float, what: str,
+    defined_values: Callable[[np.ndarray], np.ndarray], n: int, b: int, seed: int,
+    level: float, what: str, width: int,
 ) -> tuple[float, float]:
     """Nearest-rank percentile interval of ``b`` bootstrap values.
 
-    Attempt ``a`` draws ``n`` indices in ``[0, n)`` with replacement from
-    ``spawn(seed, a)`` and passes them to ``statistic_of_draw``. A draw on
-    which the statistic raises ``ValueError`` is redrawn; after ``10 * b``
-    attempts the interval is declared undefined.
+    Attempt ``a`` draws ``n`` indices in ``[0, n)`` with replacement, the
+    indices of ``spawn(seed, a).integers(0, n, size=n)``. Attempts are taken
+    in order, in batches of at most ``_BATCH_ELEMENTS // width`` and never
+    more than the values still missing: ``defined_values`` receives a batch
+    as an int64 array with one row per attempt and returns the values of the
+    attempts on which the statistic is defined, in attempt order. Undefined
+    attempts are thereby redrawn; after ``10 * b`` attempts the interval is
+    declared undefined.
     """
+    draws = BootstrapDraws(seed, n, n)
+    batch = max(1, _BATCH_ELEMENTS // width)
+    limit = 10 * b
     values = np.empty(b, dtype=np.float64)
-    got = 0
-    for attempt in range(10 * b):
-        draw = spawn(seed, attempt).integers(0, n, size=n)
-        try:
-            values[got] = statistic_of_draw(draw)
-        except ValueError:
-            continue
-        got += 1
-        if got == b:
-            lo = percentile_nearest_rank(values, (1.0 - level) / 2.0 * 100.0)
-            hi = percentile_nearest_rank(values, (1.0 + level) / 2.0 * 100.0)
-            return lo, hi
-    raise ValueError(
-        f"{what} undefined too often: {got} of {b} resamples after {10 * b} attempts"
-    )
+    got = attempt = 0
+    while got < b and attempt < limit:
+        count = min(batch, b - got, limit - attempt)
+        defined = defined_values(draws.rows(attempt, count))
+        values[got : got + defined.size] = defined
+        got += defined.size
+        attempt += count
+    if got < b:
+        raise ValueError(f"{what} undefined too often: {got} of {b} resamples after {limit} attempts")
+    lo = percentile_nearest_rank(values, (1.0 - level) / 2.0 * 100.0)
+    hi = percentile_nearest_rank(values, (1.0 + level) / 2.0 * 100.0)
+    return lo, hi
 
 
 class _WeightedAp:
-    """Average precision under integer row weights, for bootstrap reuse.
+    """Average precision of entity resamples, scored a batch at a time.
 
-    Sorting happens once; every resample then only recomputes weighted
-    cumulative sums. Because the weights are integers, the result is exactly
-    the average precision of the materialized row multiset.
+    Sorting happens once; a batch of resamples then only recomputes
+    cumulative sums of integer row weights (the draw counts of each row's
+    entity), which are exact. Recall, precision and their products are the
+    same element-wise float operations as in :func:`pr_auc` on the
+    materialized row multiset with tied rows in blocks. The batch's
+    contributing terms are compacted once, and each resample sums its own,
+    in order, with one ``np.add.reduce`` (what ``np.sum`` runs), so every
+    value is bit for bit that of the scalar definition,
+    ``tests/oracles.py::reference_weighted_ap``.
     """
 
-    def __init__(self, scores: np.ndarray, y: np.ndarray):
+    def __init__(self, scores: np.ndarray, y: np.ndarray, entity_of_row: np.ndarray, n_ent: int):
         order = np.argsort(-scores, kind="stable")
-        s_sorted = scores[order]
-        self.order = order
-        self.y_sorted = y[order]
-        self.ends = np.nonzero(np.append(_block_boundaries(s_sorted), True))[0]
+        positive = y[order] == 1.0
+        self.n_ent = n_ent
+        self.entity_sorted = entity_of_row[order]
+        self.entity_positive = self.entity_sorted[positive]
+        self.ends = np.nonzero(np.append(_block_boundaries(scores[order]), True))[0]
+        # the positive rows up to each block end, which index the true
+        # positive sums below (column 0 holds the empty sum)
+        self.positives_to_end = np.cumsum(positive)[self.ends]
 
-    def ap(self, row_weights: np.ndarray) -> float:
-        w = row_weights[self.order]
-        tp = np.cumsum(w * self.y_sorted)[self.ends]
-        k = np.cumsum(w)[self.ends]
-        pos = tp[-1]
-        if pos == 0.0:
-            raise ValueError("no positive rows in resample")
-        d_recall = _increments(tp / pos)
+    def ap(self, draws: np.ndarray) -> np.ndarray:
+        """Average precision of each row of entity ``draws``; every row must
+        draw an entity with a positive row."""
+        count = draws.shape[0]
+        flat = (draws + (self.n_ent * np.arange(count))[:, None]).ravel()
+        drawn = np.bincount(flat, minlength=count * self.n_ent).reshape(count, self.n_ent)
+        tp = np.zeros((count, self.entity_positive.size + 1), dtype=np.int64)
+        np.cumsum(np.take(drawn, self.entity_positive, axis=1), axis=1, out=tp[:, 1:])
+        tp = np.take(tp, self.positives_to_end, axis=1)
+        k = np.take(np.cumsum(np.take(drawn, self.entity_sorted, axis=1), axis=1), self.ends, axis=1)
+        # the integer sums are exact, and int64 / int64 divides their exact
+        # float64 conversions
+        d_recall = _increments(tp / tp[:, -1:])
         contributes = d_recall > 0.0
-        return float(np.sum(d_recall[contributes] * (tp[contributes] / k[contributes])))
+        hit = np.flatnonzero(contributes)
+        terms = d_recall.take(hit) * (tp.take(hit) / k.take(hit))
+        ends = np.cumsum(np.count_nonzero(contributes, axis=1)).tolist()
+        return np.array(
+            [np.add.reduce(terms[i:j]) for i, j in zip([0, *ends[:-1]], ends)],
+            dtype=np.float64,
+        )
+
+
+def _ap_values(
+    statistic: Callable[[np.ndarray], np.ndarray], y: np.ndarray, entity_of_row: np.ndarray,
+    n_ent: int,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The ``defined_values`` of an average-precision ``statistic`` of entity
+    draws for :func:`_percentile_interval`: average precision is undefined
+    exactly on the draws without an entity that has a positive row, so only
+    the other draws reach ``statistic``."""
+    positive = np.zeros(n_ent, dtype=np.bool_)
+    positive[entity_of_row[y == 1.0]] = True
+
+    def defined_values(draws: np.ndarray) -> np.ndarray:
+        return statistic(draws[positive[draws].any(axis=1)])
+
+    return defined_values
 
 
 def _entity_bootstrap_input(
     labels: Sequence[int] | np.ndarray, entity_ids: Sequence[str] | np.ndarray, b: int,
     level: float, what: str, bootstrap: str, **scores: Sequence[float] | np.ndarray,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, int, Callable[[np.ndarray], np.ndarray]]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, int]:
     """Checked input of an entity bootstrap over pooled rows: the named
     ``scores`` as float arrays (in keyword order), the 0/1 labels, each row's
-    entity index, the number of distinct entities, and a function from a
-    draw of entity indices to integer row weights. ``what`` names the
+    entity index and the number of distinct entities. ``what`` names the
     statistic in the messages on empty or non-finite input, ``bootstrap``
     the procedure."""
     arrays = [np.asarray(s, dtype=np.float64) for s in scores.values()]
@@ -309,11 +381,7 @@ def _entity_bootstrap_input(
     if n_ent < 2:
         raise ValueError(f"{bootstrap} needs at least 2 entities, got {n_ent}")
     check_bootstrap_params(b, level)
-
-    def weights(draw: np.ndarray) -> np.ndarray:
-        return np.bincount(draw, minlength=n_ent)[inverse].astype(np.float64)
-
-    return arrays, y, inverse, n_ent, weights
+    return arrays, y, inverse, n_ent
 
 
 def paired_delta_significance(
@@ -337,30 +405,28 @@ def paired_delta_significance(
     resample's delta is then exactly ``0.0``, and a resample is undefined
     exactly when it draws no entity with a positive row.
     """
-    (sa, sb), y, entity_of_row, n_ent, weights = _entity_bootstrap_input(
+    (sa, sb), y, entity_of_row, n_ent = _entity_bootstrap_input(
         labels, entity_ids, b, level, "paired delta", "paired bootstrap",
         scores_a=scores_a, scores_b=scores_b,
     )
     if np.array_equal(sa, sb):
         ap = pr_auc(sa, y)
         point = ap - ap
-        positive = np.zeros(n_ent, dtype=np.bool_)
-        positive[entity_of_row[y == 1.0]] = True
 
-        def delta(draw: np.ndarray) -> float:
-            if not positive[draw].any():
-                raise ValueError("no positive rows in resample")
-            return 0.0
+        def delta(draws: np.ndarray) -> np.ndarray:
+            return np.zeros(draws.shape[0], dtype=np.float64)
     else:
         point = pr_auc(sb, y) - pr_auc(sa, y)
-        ap_a = _WeightedAp(sa, y)
-        ap_b = _WeightedAp(sb, y)
+        ap_a = _WeightedAp(sa, y, entity_of_row, n_ent)
+        ap_b = _WeightedAp(sb, y, entity_of_row, n_ent)
 
-        def delta(draw: np.ndarray) -> float:
-            w = weights(draw)
-            return ap_b.ap(w) - ap_a.ap(w)
+        def delta(draws: np.ndarray) -> np.ndarray:
+            return ap_b.ap(draws) - ap_a.ap(draws)
 
-    lo, hi = _percentile_interval(delta, n_ent, b, seed, level, "paired bootstrap")
+    lo, hi = _percentile_interval(
+        _ap_values(delta, y, entity_of_row, n_ent), n_ent, b, seed, level, "paired bootstrap",
+        y.size,
+    )
     ci = ConfidenceInterval(point=point, lo=lo, hi=hi, level=level, resamples=b, seed=seed)
     return PairedDelta(delta=ci, significant_improvement=bool(lo > 0.0))
 
@@ -380,13 +446,14 @@ def bootstrap_pr_auc_ci(
     a drawn entity are carried as integer weights instead, which gives the
     same values (up to float summation order) without re-sorting per resample.
     """
-    (s,), y, _, n_ent, weights = _entity_bootstrap_input(
+    (s,), y, entity_of_row, n_ent = _entity_bootstrap_input(
         labels, entity_ids, b, level, "pr_auc", "bootstrap", scores=scores
     )
     point = pr_auc(s, y)
-    helper = _WeightedAp(s, y)
+    helper = _WeightedAp(s, y, entity_of_row, n_ent)
     lo, hi = _percentile_interval(
-        lambda draw: helper.ap(weights(draw)), n_ent, b, seed, level, "bootstrap statistic"
+        _ap_values(helper.ap, y, entity_of_row, n_ent), n_ent, b, seed, level,
+        "bootstrap statistic", y.size,
     )
     return ConfidenceInterval(point=point, lo=lo, hi=hi, level=level, resamples=b, seed=seed)
 

@@ -16,7 +16,9 @@ Split gain and leaf weights follow the standard second-order formulas:
     leaf weight = -G/(H+lambda) * learning_rate
 
 A round may yield a single-leaf tree when no split clears the gain threshold
-and the minimum child hessian.
+and the minimum child hessian. A node with ``H + lambda == 0`` (lambda 0 and
+every row's score saturated) is a leaf of weight 0: with lambda 0 the minimum
+child hessian is above 0, so no split of it is admissible.
 """
 
 from __future__ import annotations
@@ -508,6 +510,13 @@ def train(
             node = builder.add()
             rows = np.nonzero(node_mask)[0]
             g_total, h_total = _node_sums(g, h, rows)
+            if h_total + lam == 0.0:
+                # every row's score is saturated and l2_lambda is 0, so
+                # min_child_hessian is above 0 and no split is admissible;
+                # the leaf weight -G/(H+lambda) is 0/0, taken as 0 (as in
+                # XGBoost's CalcWeight)
+                builder.weight[node] = 0.0
+                return node
             if depth < config.max_depth:
                 gain, j, threshold, default_left = K.best_split(
                     vals_sorted,

@@ -67,6 +67,7 @@ from fortress.metrics import (
     bootstrap_ci,
     bootstrap_pr_auc_ci,
     check_bootstrap_params,
+    check_number,
     entity_cvs,
     mean_entity_cv,
     paired_delta_significance,
@@ -128,8 +129,10 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.epsilon < 0.0:
+        check_number(self.epsilon, "epsilon")
+        if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        check_number(self.percentile, "percentile")
         if not (0.0 < self.percentile <= 100.0):
             raise ValueError(f"percentile must be in (0, 100], got {self.percentile}")
         check_candidate_count(self.candidates)

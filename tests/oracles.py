@@ -14,6 +14,8 @@ import statistics
 
 import numpy as np
 
+from fortress.rng import spawn
+
 
 def reference_average_precision(scores, labels) -> float:
     """Average precision by an explicit threshold walk of the PR curve.
@@ -138,3 +140,37 @@ def reference_best_split(
                 best_threshold = float(threshold)
                 best_default_left = bool(default_left)
     return best_gain, best_feature, best_threshold, best_default_left
+
+
+def reference_bootstrap_rows(seed: int, start: int, count: int, bound: int, size: int) -> np.ndarray:
+    """Bootstrap rows of attempts ``start, ..., start + count - 1`` by their
+    definition: one fresh generator ``spawn(seed, a)`` per attempt."""
+    return np.stack(
+        [spawn(seed, a).integers(0, bound, size=size) for a in range(start, start + count)]
+    )
+
+
+def reference_weighted_ap(scores, y, row_weights) -> float:
+    """Average precision of the row multiset in which row ``r`` appears
+    ``row_weights[r]`` times, one resample at a time in float64.
+
+    Rows are sorted once by score, descending and stable; cumulative weighted
+    true positives and row counts are read at the end of each block of tied
+    scores, and the precision of every block that gains recall is weighted by
+    that gain and summed with ``np.sum``. Raises ``ValueError`` when no
+    weighted row is positive.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    s_sorted = scores[order]
+    ends = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
+    w = np.asarray(row_weights, dtype=np.float64)[order]
+    tp = np.cumsum(w * y[order])[ends]
+    k = np.cumsum(w)[ends]
+    pos = tp[-1]
+    if pos == 0.0:
+        raise ValueError("no positive rows in resample")
+    d_recall = np.diff(tp / pos, prepend=0.0)
+    contributes = d_recall > 0.0
+    return float(np.sum(d_recall[contributes] * (tp[contributes] / k[contributes])))

@@ -270,6 +270,43 @@ class TestErrorHandling:
         assert code == 1
         assert "--part all cannot be combined" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["eval", "--model", "m.json"], {"eval": {"bootstrap_b": 2.5}},
+             "bootstrap resamples must be an integer, got 2.5"),
+            (["eval", "--model", "m.json"], {"eval": {"level": "0.9"}},
+             "level must be a number, got '0.9'"),
+            (["eval", "--model", "m.json", "--bootstrap-b", "1"], None,
+             "bootstrap needs at least 2 resamples, got 1"),
+            (["eval", "--model", "m.json", "--partition", "p.json", "--part", "all"], None,
+             "--part all cannot be combined with --partition"),
+            (["stability", "--model", "m.json", "--percentile", "150"], None,
+             "percentile p must be in (0, 100], got 150.0"),
+            (["flipflop", "--model", "m.json", "--tau", "inf"], None, "tau must be finite, got inf"),
+            (["flipflop", "--model", "m.json", "--tau-percentile", "0"], None,
+             "percentile p must be in (0, 100], got 0.0"),
+            (["flipflop", "--model", "m.json", "--part", "val", "--fractions", "0.5,0.5,0.5"], None,
+             "fractions must sum to 1, got (0.5, 0.5, 0.5) (sum 1.5)"),
+            (["split", "--fractions", "0.5,x,0.5"], None,
+             "fractions must be three comma-separated numbers, got '0.5,x,0.5'"),
+            (["train", "--partition", "p.json", "--part", "all"], None,
+             "--part all cannot be combined with --partition"),
+            (["prune"], {"pipeline": {"bootstrap_b": 2.5}},
+             "bootstrap resamples must be an integer, got 2.5"),
+        ],
+    )
+    def test_argument_errors_come_before_the_data(
+        self, argv, config, message, tmp_path, capsys, clean_env
+    ):
+        # the data file does not exist: reading it would exit 2
+        extra = ["--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "out.json")]
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            extra += ["--config", str(tmp_path / "c.json")]
+        assert main([*argv, *extra]) == 1
+        assert capsys.readouterr().err == f"fortress: error: {message}\n"
+
     def test_tau_flags_mutually_exclusive(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([

@@ -26,6 +26,7 @@ from oracles import (
     reference_average_precision,
     reference_cv,
     reference_percentile_nearest_rank,
+    reference_weighted_ap,
 )
 
 
@@ -284,6 +285,49 @@ class TestBootstrapPrAucCi:
         assert (a.lo, a.point, a.hi) == (b.lo, b.point, b.hi)
 
 
+class TestBatchedAp:
+    """The AP bootstraps score a batch of resamples as 2-D integer cumsums;
+    each value equals the scalar weighted average precision of its resample
+    bit for bit, and the resamples without a positive row are dropped."""
+
+    @staticmethod
+    def _hexes(scores, y, entity_of_row, n_ent, draws):
+        helper = metrics._WeightedAp(scores, y, entity_of_row, n_ent)
+        got = metrics._ap_values(helper.ap, y, entity_of_row, n_ent)(draws)
+        expected = []
+        for row in draws:
+            weights = np.bincount(row, minlength=n_ent)[entity_of_row]
+            try:
+                expected.append(reference_weighted_ap(scores, y, weights))
+            except ValueError:
+                continue
+        return [v.hex() for v in got.tolist()], [v.hex() for v in expected]
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_scalar_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n_ent = int(rng.integers(2, 10))
+        entity_of_row = np.repeat(np.arange(n_ent), rng.integers(1, 6, size=n_ent))
+        n = entity_of_row.size
+        scores = rng.choice(rng.random(int(rng.integers(1, 6))), size=n)  # ties
+        y = (rng.random(n) < rng.uniform(0.05, 0.5)).astype(np.float64)
+        y[int(rng.integers(0, n))] = 1.0
+        draws = rng.integers(0, n_ent, size=(int(rng.integers(1, 40)), n_ent))
+        got, expected = self._hexes(scores, y, entity_of_row, n_ent, draws)
+        assert got == expected
+
+    def test_drops_resamples_without_a_positive_row(self):
+        # only entity 0 has a positive row; rows 1 and 3 never draw it
+        entity_of_row = np.array([0, 0, 1, 1, 2, 2, 3])
+        scores = np.array([0.5, 0.25, 0.5, 0.75, 0.25, 0.5, 0.5])
+        y = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        draws = np.array([[0, 1, 2, 3], [1, 1, 2, 3], [0, 0, 0, 0], [3, 2, 1, 1], [2, 0, 3, 0]])
+        got, expected = self._hexes(scores, y, entity_of_row, 4, draws)
+        assert len(got) == 3
+        assert got == expected
+
+
 class TestPairedDeltaSignificance:
     def test_identical_models_are_a_wash(self, rng):
         ents = np.repeat([f"e{i}" for i in range(25)], 2)
@@ -374,19 +418,12 @@ class TestBootstrapGolden:
         return (ci.point.hex(), ci.lo.hex(), ci.hi.hex())
 
     @pytest.fixture
-    def failed_draws(self, monkeypatch):
-        """Counts the resamples on which a weighted AP is undefined."""
+    def attempts(self, monkeypatch):
+        """Counts the resamples drawn, defined or not. The loop stops at the
+        b-th defined resample, so the count less b is the number of
+        undefined resamples that were redrawn."""
         count = {"n": 0}
-        original = metrics._WeightedAp.ap
-
-        def counting(self, w):
-            try:
-                return original(self, w)
-            except ValueError:
-                count["n"] += 1
-                raise
-
-        monkeypatch.setattr(metrics._WeightedAp, "ap", counting)
+        monkeypatch.setattr(metrics.BootstrapDraws, "rows", _counting_rows(count))
         return count
 
     def test_bootstrap_ci(self):
@@ -403,29 +440,16 @@ class TestBootstrapGolden:
         assert self._hex(ci) == ("0x1.e81b4e81b4e81p-4", "0x1.b4e81b4e81b60p-9", "0x1.58bf258bf258cp-2")
         assert calls["n"] == 1 + 40 + 9  # the point, 40 resamples, 9 redraws
 
-    def test_bootstrap_pr_auc_ci(self, failed_draws):
+    def test_bootstrap_pr_auc_ci(self, attempts):
         ci = bootstrap_pr_auc_ci(self.SA, self.LABELS, self.ENTS, b=30, seed=5)
         assert self._hex(ci) == ("0x1.2aaaaaaaaaaaap-1", "0x1.1111111111111p-2", "0x1.0000000000000p+0")
-        assert failed_draws["n"] == 21
+        assert attempts["n"] - 30 == 21  # resamples without a positive row
 
-    def test_paired_delta_significance(self, failed_draws):
+    def test_paired_delta_significance(self, attempts):
         out = paired_delta_significance(self.SA, self.SB, self.LABELS, self.ENTS, b=30, seed=9)
         assert self._hex(out.delta) == ("0x1.aaaaaaaaaaaacp-2", "0x0.0p+0", "0x1.2aaaaaaaaaaabp-1")
         assert out.significant_improvement is False
-        assert failed_draws["n"] == 18
-
-    @pytest.fixture
-    def attempts(self, monkeypatch):
-        """Counts the resamples drawn, defined or not."""
-        count = {"n": 0}
-        real = metrics.spawn
-
-        def counting(seed, attempt):
-            count["n"] += 1
-            return real(seed, attempt)
-
-        monkeypatch.setattr(metrics, "spawn", counting)
-        return count
+        assert attempts["n"] - 30 == 18  # resamples without a positive row
 
     def test_paired_delta_of_identical_scores(self, attempts):
         out = paired_delta_significance(self.SA, self.SA, self.LABELS, self.ENTS, b=30, seed=9)
@@ -433,14 +457,17 @@ class TestBootstrapGolden:
         assert out.significant_improvement is False
         assert attempts["n"] == 30 + 18  # the same redraws as SA against SB
 
+    @staticmethod
+    def _first_entity_only(monkeypatch):
+        """Makes every resample draw entity e0, which has no positive row."""
+
+        def rows(self, start, count):
+            return np.zeros((count, self.size), dtype=np.int64)
+
+        monkeypatch.setattr(metrics.BootstrapDraws, "rows", rows)
+
     def test_identical_scores_undefined_too_often(self, monkeypatch):
-        class FirstEntityOnly:
-            """Draws entity e0, which has no positive row, every time."""
-
-            def integers(self, low, high, size):
-                return np.zeros(size, dtype=np.int64)
-
-        monkeypatch.setattr(metrics, "spawn", lambda seed, attempt: FirstEntityOnly())
+        self._first_entity_only(monkeypatch)
         with pytest.raises(ValueError) as exc:
             paired_delta_significance(self.SA, self.SA, self.LABELS, self.ENTS, b=4, seed=0)
         assert str(exc.value) == (
@@ -459,10 +486,7 @@ class TestBootstrapGolden:
             "bootstrap statistic undefined too often: 0 of 3 resamples after 30 attempts"
         )
 
-        def never(self, w):
-            raise ValueError("no positive rows in resample")
-
-        monkeypatch.setattr(metrics._WeightedAp, "ap", never)
+        self._first_entity_only(monkeypatch)
         with pytest.raises(ValueError) as exc:
             bootstrap_pr_auc_ci(self.SA, self.LABELS, self.ENTS, b=2, seed=0)
         assert str(exc.value) == (
@@ -481,6 +505,9 @@ class TestBootstrapGolden:
             (dict(entities=np.arange(1)), "bootstrap needs at least 2 entities, got 1"),
             (dict(b=1), "bootstrap needs at least 2 resamples, got 1"),
             (dict(level=1.0), "level must be in (0, 1), got 1.0"),
+            (dict(b=2.5), "bootstrap resamples must be an integer, got 2.5"),
+            (dict(b=False), "bootstrap resamples must be an integer, got False"),
+            (dict(level="0.9"), "level must be a number, got '0.9'"),
         ],
     )
     def test_bootstrap_ci_input_messages(self, kwargs, message):
@@ -536,18 +563,24 @@ class TestBootstrapGolden:
         assert str(exc.value) == message
 
 
+def _counting_rows(count):
+    """``BootstrapDraws.rows`` that adds the number of attempts it returns to
+    ``count["n"]``."""
+    real = metrics.BootstrapDraws.rows
+
+    def rows(self, start, count_):
+        count["n"] += count_
+        return real(self, start, count_)
+
+    return rows
+
+
 def _paired_outcome(sa, sb, labels, ents, b, seed):
     """Hex interval, verdict and resample count of a paired bootstrap, or its
     error message and resample count."""
     count = {"n": 0}
-    real = metrics.spawn
-
-    def counting(seed, attempt):
-        count["n"] += 1
-        return real(seed, attempt)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "spawn", counting)
+        mp.setattr(metrics.BootstrapDraws, "rows", _counting_rows(count))
         try:
             out = paired_delta_significance(sa, sb, labels, ents, b=b, seed=seed)
         except ValueError as exc:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fortress import model as model_module
 from fortress.model import (
     BoostedModel,
     TrainConfig,
@@ -147,6 +148,33 @@ class TestTrainBasics:
         y = (X[:, 0] > 0.5).astype(float)
         model = train(X, y, TrainConfig(rounds=6))
         assert len(model.trees) == 6
+
+
+class TestZeroHessianNode:
+    """With ``l2_lambda = 0`` a node whose scores are all saturated has
+    ``H + lambda == 0``: it becomes a leaf of weight 0 without a split
+    search, where both the search and the leaf weight used to divide by 0."""
+
+    def test_saturated_root_is_a_zero_leaf(self, monkeypatch):
+        # 35 positives and 1 negative on a constant feature: by round 4 the
+        # 70% row sample scores every row at exactly p = 1, so h = p(1-p) = 0
+        X = np.zeros((36, 1))
+        y = np.ones(36)
+        y[0] = 0.0
+        cfg = TrainConfig(
+            rounds=6, max_depth=1, learning_rate=1.0, l2_lambda=0.0, min_child_hessian=1.0,
+            row_subsample=0.7, seed=5,
+        )
+        searched = []
+        real = model_module.K.best_split
+        monkeypatch.setattr(
+            model_module.K, "best_split", lambda *a: searched.append(1) or real(*a)
+        )
+        model = train(X, y, cfg)
+        assert [t.weight[0].hex() for t in model.trees[4:]] == ["0x0.0p+0", "0x0.0p+0"]
+        assert all(t.n_nodes == 1 for t in model.trees)
+        assert len(searched) == 4
+        assert model.predict(X[:1]) == 1.0
 
 
 class TestHandComputedSplit:

@@ -106,12 +106,29 @@ class TestPipelineConfig:
             ({"fractions": (0.5, 0.5)}, "exactly 3"),
             ({"fractions": (1.2, -0.1, -0.1)}, "non-negative"),
             ({"fractions": (float("nan"), 0.5, 0.5)}, "finite"),
+            ({"epsilon": float("nan")}, "epsilon must be >= 0, got nan"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):
         # raised at construction, before any training
         with pytest.raises(ValueError, match=match):
             PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"bootstrap_b": 2.5}, "bootstrap resamples must be an integer, got 2.5"),
+            ({"bootstrap_b": 1000.0}, "bootstrap resamples must be an integer, got 1000.0"),
+            ({"bootstrap_b": True}, "bootstrap resamples must be an integer, got True"),
+            ({"level": "0.9"}, "level must be a number, got '0.9'"),
+            ({"epsilon": "0"}, "epsilon must be a number, got '0'"),
+            ({"percentile": None}, "percentile must be a number, got None"),
+        ],
+    )
+    def test_from_dict_rejects_bad_types(self, doc, message):
+        with pytest.raises(ValueError) as exc:
+            PipelineConfig.from_dict(doc)
+        assert str(exc.value) == message
 
     def test_from_dict_rejects_unknown_and_bad_fractions(self):
         with pytest.raises(ValueError, match="unknown pipeline config"):
