@@ -52,6 +52,7 @@ from fortress.model import (
     train,
 )
 from fortress.pipeline import (
+    EvalConfig,
     EvalReport,
     ExperimentResult,
     FortressResult,
@@ -78,6 +79,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoostedModel",
     "ConfidenceInterval",
+    "EvalConfig",
     "EvalReport",
     "ExperimentResult",
     "FlipFlopComparison",

@@ -42,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from fortress._config import is_integer
 from fortress.data import (
     PartitionAssignment,
     SnapshotDataset,
@@ -51,7 +52,7 @@ from fortress.data import (
     write_csv,
 )
 from fortress.flipflop import check_tau, flip_flop_rate, relative_reduction, tau_from_percentile
-from fortress.metrics import check_bootstrap_params, check_percentile
+from fortress.metrics import check_percentile
 from fortress.model import (
     TrainConfig,
     TrainMatrix,
@@ -64,6 +65,7 @@ from fortress.model import (
 from fortress.pipeline import (
     NON_INFERIOR,
     STRICT,
+    EvalConfig,
     PipelineConfig,
     evaluate_model,
     experiment_table,
@@ -79,7 +81,6 @@ DEFAULT_FRACTIONS = (0.70, 0.15, 0.15)
 DEFAULT_SALT = "fortress"
 
 _RUN_CONFIG_SECTIONS = {"seed", "synth", "train", "pipeline", "eval"}
-_EVAL_SECTION_FIELDS = {"bootstrap_b", "level"}
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,9 @@ def load_run_config(path: str | Path | None) -> dict:
             f"{path}: unknown run config sections {sorted(unknown)}; "
             f"expected only {sorted(_RUN_CONFIG_SECTIONS)}"
         )
+    bad = sorted(k for k in set(doc) - {"seed"} if not isinstance(doc[k], (dict, type(None))))
+    if bad:
+        raise ValueError(f"{path}: run config sections {bad} must be JSON objects")
     return doc
 
 
@@ -124,7 +128,7 @@ def resolve_seed(flag_seed: int | None, config: dict) -> int:
         return int(flag_seed)
     if "seed" in config:
         seed = config["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
+        if not is_integer(seed):
             raise ValueError(f"run config 'seed' must be an integer, got {seed!r}")
         return seed
     env = os.environ.get("FORTRESS_SEED", "")
@@ -159,32 +163,20 @@ def _pipeline_config(config: dict, seed: int, args: argparse.Namespace) -> Pipel
         )
     section.setdefault("seed", seed)
     cfg = PipelineConfig.from_dict(section)
-    cfg = dataclasses.replace(cfg, train=_train_config(config, seed))
-    overrides: dict = {}
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
-    if getattr(args, "percentile", None) is not None:
-        overrides["percentile"] = args.percentile
-    if getattr(args, "bootstrap_b", None) is not None:
-        overrides["bootstrap_b"] = args.bootstrap_b
+    overrides: dict = {"train": _train_config(config, seed)}
+    for name in ("mode", "percentile", "bootstrap_b", "salt"):
+        if getattr(args, name, None) is not None:
+            overrides[name] = getattr(args, name)
     if getattr(args, "fractions", None) is not None:
         overrides["fractions"] = _parse_fractions(args.fractions)
-    if getattr(args, "salt", None) is not None:
-        overrides["salt"] = args.salt
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
-def _eval_params(config: dict, args: argparse.Namespace) -> tuple[int, float]:
+def _eval_config(config: dict, args: argparse.Namespace) -> EvalConfig:
     section = dict(config.get("eval") or {})
-    unknown = set(section) - _EVAL_SECTION_FIELDS
-    if unknown:
-        raise ValueError(f"unknown eval config fields: {sorted(unknown)}")
-    b = args.bootstrap_b if args.bootstrap_b is not None else section.get("bootstrap_b", 1000)
-    level = section.get("level", 0.95)
-    check_bootstrap_params(b, level)
-    return b, level
+    if args.bootstrap_b is not None:
+        section["bootstrap_b"] = args.bootstrap_b
+    return EvalConfig.from_dict(section)
 
 
 def _fractions(args: argparse.Namespace) -> tuple[float, float, float]:
@@ -358,17 +350,16 @@ def _cmd_prune(args: argparse.Namespace) -> None:
 def _cmd_eval(args: argparse.Namespace) -> None:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
-    b, level = _eval_params(config, args)
+    cfg = _eval_config(config, args)
     scope = _scope(args, default_part="test")
     dataset = parse_csv(args.data)
     model = load_model(args.model)
     entities = _select_entities(dataset, scope.resolve(dataset), scope.part)
-    report = evaluate_model(model, dataset, entities, b=b, seed=seed, level=level)
-    _write_json(args.out, report.to_dict())
-    _write_sidecar(
-        args.out,
-        {"kind": "run_config", "seed": seed, "eval": {"bootstrap_b": b, "level": level}},
+    report = evaluate_model(
+        model, dataset, entities, b=cfg.bootstrap_b, seed=seed, level=cfg.level
     )
+    _write_json(args.out, report.to_dict())
+    _write_sidecar(args.out, {"kind": "run_config", "seed": seed, "eval": cfg.to_dict()})
     log.info(
         "eval on %d entities (%s scope): pr_auc=%.4f", len(entities), scope.part,
         report.pr_auc.point,
@@ -436,6 +427,10 @@ def _add_scope_flags(p: argparse.ArgumentParser, with_part: bool = True) -> None
             choices=("train", "val", "test", "all"),
             help="partition slice to operate on (default depends on the command)",
         )
+    _add_split_flags(p)
+
+
+def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--salt", help=f"partition salt (default {DEFAULT_SALT!r})")
     p.add_argument(
         "--fractions",
@@ -469,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", parents=[common], help="partition entities by salted hash")
     p.add_argument("--data", required=True, metavar="CSV")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--salt", help=f"partition salt (default {DEFAULT_SALT!r})")
-    p.add_argument("--fractions", metavar="TR,VA,TE", help="default 0.70,0.15,0.15")
+    _add_split_flags(p)
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("train", parents=[common], help="train one boosted model")
@@ -535,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=(STRICT, NON_INFERIOR), help="acceptance gate")
     p.add_argument("--percentile", type=float, help="candidate percentile (default 75)")
     p.add_argument("--bootstrap-b", type=int, help="bootstrap resamples (default 1000)")
-    p.add_argument("--salt", help=f"partition salt (default {DEFAULT_SALT!r})")
-    p.add_argument("--fractions", metavar="TR,VA,TE", help="default 0.70,0.15,0.15")
+    _add_split_flags(p)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("report", parents=[common], help="render an artifact as markdown")

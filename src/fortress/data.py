@@ -40,6 +40,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from fortress._config import check_number
+
 log = logging.getLogger(__name__)
 
 RESERVED_COLUMNS = ("entity_id", "snapshot_id", "region", "label")
@@ -276,7 +278,10 @@ def check_fractions(fractions: Iterable[float]) -> tuple[float, ...]:
     Raises:
         ValueError: on any other fractions.
     """
-    fr = tuple(float(f) for f in fractions)
+    fr = tuple(fractions) if isinstance(fractions, Iterable) else (fractions,)
+    for f in fr:
+        check_number(f, "fractions")
+    fr = tuple(float(f) for f in fr)
     if len(fr) != 3:
         raise ValueError("fractions must have exactly 3 entries")
     if any(not math.isfinite(f) or f < 0.0 for f in fr):

@@ -15,11 +15,12 @@ whole batch as 2-D integer cumulative sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from fortress._config import check_number, is_integer
 from fortress.rng import BootstrapDraws
 
 MEAN = "mean"
@@ -46,14 +47,7 @@ class ConfidenceInterval:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "lo": self.lo,
-            "hi": self.hi,
-            "level": self.level,
-            "resamples": self.resamples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ConfidenceInterval":
@@ -189,13 +183,6 @@ def percentile_nearest_rank(values: Sequence[float] | np.ndarray, p: float) -> f
     return float(np.sort(arr, kind="stable")[rank - 1])
 
 
-def check_number(value: object, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is an int or a float (numpy's
-    included, ``bool`` not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-
-
 def check_percentile(p: float) -> None:
     """Raise ``ValueError`` unless ``p`` is a number in (0, 100]."""
     check_number(p, "percentile p")
@@ -206,7 +193,7 @@ def check_percentile(p: float) -> None:
 def check_bootstrap_params(b: int, level: float) -> None:
     """Raise ``ValueError`` unless ``b`` is an integer >= 2 and ``level`` a
     number in (0, 1)."""
-    if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
+    if not is_integer(b):
         raise ValueError(f"bootstrap resamples must be an integer, got {b!r}")
     if b < 2:
         raise ValueError(f"bootstrap needs at least 2 resamples, got {b}")

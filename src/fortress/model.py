@@ -23,7 +23,6 @@ child hessian is above 0, so no split of it is admissible.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import weakref
@@ -34,19 +33,22 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from fortress import _kernels as K
+from fortress._config import Config
 from fortress.rng import spawn
 
 MODEL_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Config):
     """Hyperparameters of the boosted-tree trainer.
 
     ``row_subsample`` and ``col_subsample`` are fractions in (0, 1]; at the
     default 1.0 no sampling happens and ``seed`` has no effect on training.
     Per-round sampling generators are derived as ``mix64(seed, round)``.
     """
+
+    section = "train"
 
     rounds: int = 100
     max_depth: int = 3
@@ -59,6 +61,7 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        self.check_types()
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.max_depth < 1:
@@ -83,17 +86,7 @@ class TrainConfig:
             raise ValueError(f"row_subsample must be in (0, 1], got {self.row_subsample}")
         if not (0.0 < self.col_subsample <= 1.0):
             raise ValueError(f"col_subsample must be in (0, 1], got {self.col_subsample}")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown train config fields: {sorted(unknown)}")
-        return cls(**doc)
+        self.check_finite()
 
 
 class TrainMatrix:
@@ -184,22 +177,12 @@ class Tree:
 
     @classmethod
     def from_node_dict(cls, doc: dict) -> "Tree":
-        feature: list[int] = []
-        threshold: list[float] = []
-        default_left: list[bool] = []
-        left: list[int] = []
-        right: list[int] = []
-        weight: list[float] = []
+        builder = _TreeBuilder()
 
         def walk(node: dict) -> int:
-            idx = len(feature)
+            idx = builder.add()
             if "weight" in node:
-                feature.append(-1)
-                threshold.append(math.nan)
-                default_left.append(False)
-                left.append(-1)
-                right.append(-1)
-                weight.append(float(node["weight"]))
+                builder.weight[idx] = float(node["weight"])
                 return idx
             try:
                 feat = int(node["feature"])
@@ -211,25 +194,15 @@ class Tree:
                 raise ValueError(f"malformed tree node: {exc}") from None
             if default not in ("left", "right"):
                 raise ValueError(f"malformed tree node: default {default!r}")
-            feature.append(feat)
-            threshold.append(thr)
-            default_left.append(default == "left")
-            left.append(-1)
-            right.append(-1)
-            weight.append(0.0)
-            left[idx] = walk(left_doc)
-            right[idx] = walk(right_doc)
+            builder.feature[idx] = feat
+            builder.threshold[idx] = thr
+            builder.default_left[idx] = default == "left"
+            builder.left[idx] = walk(left_doc)
+            builder.right[idx] = walk(right_doc)
             return idx
 
         walk(doc)
-        return cls(
-            feature=np.array(feature, dtype=np.int64),
-            threshold=np.array(threshold, dtype=np.float64),
-            default_left=np.array(default_left, dtype=np.bool_),
-            left=np.array(left, dtype=np.int64),
-            right=np.array(right, dtype=np.int64),
-            weight=np.array(weight, dtype=np.float64),
-        )
+        return builder.finish()
 
 
 @dataclass

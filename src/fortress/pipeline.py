@@ -41,16 +41,16 @@ everything on the same TEST partition.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import logging
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from fortress._config import Config
 from fortress.data import (
     TRAIN,
     VAL,
@@ -67,7 +67,6 @@ from fortress.metrics import (
     bootstrap_ci,
     bootstrap_pr_auc_ci,
     check_bootstrap_params,
-    check_number,
     entity_cvs,
     mean_entity_cv,
     paired_delta_significance,
@@ -106,7 +105,7 @@ ROW_FORTRESS = "fortress"
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Config):
     """Configuration of a fortress run.
 
     ``candidates`` is an int or ``"auto"`` (top half of the ranking).
@@ -114,6 +113,8 @@ class PipelineConfig:
     loop uses ``mix64(seed, i)``, evaluation intervals use further derived
     seeds, so the whole run is reproducible from (data, config).
     """
+
+    section = "pipeline"
 
     train: TrainConfig = field(default_factory=TrainConfig)
     fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)
@@ -127,36 +128,27 @@ class PipelineConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        check_bootstrap_params(self.bootstrap_b, self.level)
+        self.check_types()
+        if not isinstance(self.train, TrainConfig):
+            raise ValueError(f"train must be a TrainConfig, got {self.train!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        check_number(self.epsilon, "epsilon")
         if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        check_number(self.percentile, "percentile")
         if not (0.0 < self.percentile <= 100.0):
             raise ValueError(f"percentile must be in (0, 100], got {self.percentile}")
         check_candidate_count(self.candidates)
-        check_fractions(self.fractions)
-        check_bootstrap_params(self.bootstrap_b, self.level)
-
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["train"] = self.train.to_dict()
-        doc["fractions"] = list(self.fractions)
-        return doc
+        # a JSON list becomes the tuple the annotation promises
+        object.__setattr__(self, "fractions", check_fractions(self.fractions))
+        self.check_finite()
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown pipeline config fields: {sorted(unknown)}")
         kwargs = dict(doc)
         if "train" in kwargs:
             kwargs["train"] = TrainConfig.from_dict(dict(kwargs["train"]))
-        if "fractions" in kwargs:
-            kwargs["fractions"] = check_fractions(kwargs["fractions"])
-        return cls(**kwargs)
+        return super().from_dict(kwargs)
 
 
 @dataclass
@@ -170,13 +162,9 @@ class PruneIteration:
     val_mean_cv_after: float
 
     def to_dict(self) -> dict:
-        return {
-            "candidate": self.candidate,
-            "delta_pr_auc": self.delta.to_dict(),
-            "accepted": self.accepted,
-            "features_after": list(self.features_after),
-            "val_mean_cv_after": self.val_mean_cv_after,
-        }
+        doc = asdict(self)
+        doc["delta_pr_auc"] = doc.pop("delta")
+        return doc
 
 
 @dataclass
@@ -196,20 +184,11 @@ class PruneTrace:
     final_features: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "prune_trace",
-            "mode": self.mode,
-            "epsilon": self.epsilon,
-            "percentile": self.percentile,
-            "bootstrap_b": self.bootstrap_b,
-            "seed": self.seed,
-            "initial_features": list(self.initial_features),
-            "candidates": list(self.candidates),
-            "initial_val_pr_auc": self.initial_val_pr_auc,
-            "initial_val_mean_cv": self.initial_val_mean_cv,
-            "iterations": [it.to_dict() for it in self.iterations],
-            "final_features": list(self.final_features),
-        }
+        # shallow on purpose: a deep asdict of the trace made peak RSS creep
+        # over repeated prune runs
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(kind="prune_trace", iterations=[it.to_dict() for it in self.iterations])
+        return doc
 
 
 @dataclass
@@ -234,16 +213,7 @@ class EvalReport:
     n_multi_snapshot_entities: int
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "eval_report",
-            "pr_auc": self.pr_auc.to_dict(),
-            "mean_entity_cv": (
-                self.mean_entity_cv.to_dict() if self.mean_entity_cv else None
-            ),
-            "n_rows": self.n_rows,
-            "n_entities": self.n_entities,
-            "n_multi_snapshot_entities": self.n_multi_snapshot_entities,
-        }
+        return {"kind": "eval_report", **asdict(self)}
 
 
 @dataclass
@@ -253,13 +223,7 @@ class ExperimentRow:
     mean_entity_cv: ConfidenceInterval | None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "pr_auc": self.pr_auc.to_dict(),
-            "mean_entity_cv": (
-                self.mean_entity_cv.to_dict() if self.mean_entity_cv else None
-            ),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -544,6 +508,20 @@ def _fortress_core(
     )
 
 
+@dataclass(frozen=True)
+class EvalConfig(Config):
+    """The bootstrap parameters of :func:`evaluate_model`."""
+
+    section = "eval"
+
+    bootstrap_b: int = 1000
+    level: float = 0.95
+
+    def __post_init__(self) -> None:
+        # checks both fields' types and ranges
+        check_bootstrap_params(self.bootstrap_b, self.level)
+
+
 def evaluate_model(
     model: BoostedModel,
     dataset: SnapshotDataset,
@@ -676,6 +654,7 @@ def experiment_table(
 
 
 __all__ = [
+    "EvalConfig",
     "EvalReport",
     "ExperimentResult",
     "ExperimentRow",

@@ -268,7 +268,8 @@ def render(doc: Mapping) -> str:
     """Render one artifact dict to markdown.
 
     Raises:
-        ValueError: if the document has no ``kind`` or an unknown one.
+        ValueError: if the document has no ``kind``, an unknown one, or lacks
+            or mistypes a field its renderer reads.
     """
     kind = doc.get("kind")
     if not isinstance(kind, str):
@@ -279,4 +280,7 @@ def render(doc: Mapping) -> str:
         raise ValueError(
             f"unknown artifact kind {kind!r}; expected one of {sorted(_RENDERERS)}"
         ) from None
-    return renderer(doc) + "\n"
+    try:
+        return renderer(doc) + "\n"
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {kind} document: {exc}") from None

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from fortress._config import is_integer
 from fortress.data import SnapshotDataset
 from fortress.metrics import ABS_MEAN_EPS, cv, entity_cvs, percentile_nearest_rank
 from fortress.model import BoostedModel
@@ -177,7 +178,7 @@ def check_candidate_count(k: int | str) -> None:
     """Raise ``ValueError`` unless ``k`` is ``"auto"`` or an integer >= 1."""
     if k == AUTO:
         return
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+    if not is_integer(k):
         raise ValueError(f"candidate count must be {AUTO!r} or an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"candidate count must be >= 1, got {k}")

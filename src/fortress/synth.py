@@ -22,19 +22,20 @@ values) are invariant to changes of the noise scales under the same seed.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from fortress._config import Config
 from fortress.data import Label, SnapshotDataset, build_dataset
 from fortress.rng import mix64
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Config):
     """Generator parameters; defaults define the standard benchmark."""
+
+    section = "synth"
 
     n_entities: int = 5000
     snapshots: int = 8
@@ -49,11 +50,12 @@ class SynthConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        self.check_types()
         if self.n_entities < 1:
             raise ValueError(f"n_entities must be >= 1, got {self.n_entities}")
         if self.snapshots < 1:
             raise ValueError(f"snapshots must be >= 1, got {self.snapshots}")
-        for name in ("k_sr", "k_eng_info", "k_eng_noise"):
+        for name in ("k_sr", "k_eng_info", "k_eng_noise", "sigma_sr", "sigma_eng"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.k_sr + self.k_eng_info + self.k_eng_noise < 1:
@@ -62,10 +64,9 @@ class SynthConfig:
             raise ValueError(f"sr_coverage must be in [0, 1], got {self.sr_coverage}")
         if not (0.0 < self.bad_cutoff < 1.0):
             raise ValueError(f"bad_cutoff must be in (0, 1), got {self.bad_cutoff}")
-        if self.sigma_sr < 0.0 or self.sigma_eng < 0.0:
-            raise ValueError("noise scales must be >= 0")
         if self.n_regions < 1:
             raise ValueError(f"n_regions must be >= 1, got {self.n_regions}")
+        self.check_finite()
 
     def schema(self) -> tuple[str, ...]:
         return (
@@ -73,17 +74,6 @@ class SynthConfig:
             + tuple(f"f_eng_{j}" for j in range(self.k_eng_info))
             + tuple(f"f_eng_noise_{j}" for j in range(self.k_eng_noise))
         )
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SynthConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown synth config fields: {sorted(unknown)}")
-        return cls(**doc)
 
 
 @dataclass

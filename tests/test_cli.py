@@ -261,6 +261,16 @@ class TestErrorHandling:
         assert code == 1
         assert "unknown run config sections" in capsys.readouterr().err
 
+    def test_non_object_config_section_rejected(self, tmp_path, capsys, clean_env):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": 5, "eval": [], "synth": None}))
+        code = main(["train", "--config", str(cfg), "--data", str(tmp_path / "absent.csv"),
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"fortress: error: {cfg}: run config sections ['eval', 'train'] must be JSON objects\n"
+        )
+
     def test_part_all_with_partition_conflicts(self, workspace, tmp_path, capsys):
         code = main([
             "train", "--data", str(workspace / "data.csv"),
@@ -294,6 +304,10 @@ class TestErrorHandling:
              "--part all cannot be combined with --partition"),
             (["prune"], {"pipeline": {"bootstrap_b": 2.5}},
              "bootstrap resamples must be an integer, got 2.5"),
+            (["prune"], {"train": {"rounds": 2.5}}, "rounds must be an integer, got 2.5"),
+            (["prune"], {"pipeline": {"seed": 1.5}}, "seed must be an integer, got 1.5"),
+            (["train"], {"train": {"min_child_hessian": float("nan")}},
+             "min_child_hessian must be finite, got nan"),
         ],
     )
     def test_argument_errors_come_before_the_data(

@@ -496,6 +496,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deserialize(doc)
 
+    def test_deserialize_refuses_a_mistyped_config(self, rng):
+        doc = serialize(self._trained(rng))
+        doc["config"]["rounds"] = 2.5
+        with pytest.raises(ValueError, match="^rounds must be an integer, got 2.5$"):
+            deserialize(doc)
+
+    def test_node_dict_round_trip_rebuilds_the_trainer_arrays(self, rng):
+        for tree in self._trained(rng).trees:
+            clone = Tree.from_node_dict(tree.to_node_dict())
+            for name in ("feature", "threshold", "default_left", "left", "right", "weight"):
+                expected, got = getattr(tree, name), getattr(clone, name)
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
+
     def test_load_model_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

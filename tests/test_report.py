@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from fortress.cli import main
 from fortress.data import partition_entities
 from fortress.model import TrainConfig, serialize, train
 from fortress.report import render
@@ -216,3 +219,26 @@ class TestDispatch:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown artifact kind"):
             render({"kind": "mystery"})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"kind": "eval_report"}, "malformed eval_report document: 'n_rows'"),
+            (
+                {k: v for k, v in TestPruneTraceRender.DOC.items() if k != "initial_features"},
+                "malformed prune_trace document: 'initial_features'",
+            ),
+        ],
+    )
+    def test_malformed_document_rejected(self, doc, message):
+        with pytest.raises(ValueError) as exc:
+            render(doc)
+        assert str(exc.value) == message
+
+    def test_cli_report_exits_1_on_a_malformed_document(self, tmp_path, capsys):
+        path = tmp_path / "eval.json"
+        path.write_text(json.dumps({"kind": "eval_report"}))
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "fortress: error: malformed eval_report document: 'n_rows'\n"
+        )
