@@ -59,6 +59,8 @@ class Config:
 
     @classmethod
     def from_dict(cls, doc: Mapping):
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"the {cls.section} config section must be an object, got {doc!r}")
         unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown {cls.section} config fields: {sorted(unknown)}")

@@ -7,6 +7,8 @@ operations (sequential prefix sums, identical expression shapes, no fused
 multiply-adds), so they produce bit-identical results; tests assert as much.
 
 The numpy split search scores one feature in a few array operations: it
+gathers the feature's in-node entries with one ``flatnonzero`` and ``take``
+(or uses the presorted slice as it is when the node holds all of them),
 skips a feature without a value boundary in the node before its prefix
 sums, and stacks the two default directions for the missing rows into one
 array (the left sums at each threshold, then the same sums plus the missing
@@ -157,18 +159,23 @@ def best_split_numpy(
             stop = offsets[j + 1]
             o = sort_rows[start:stop]
             keep = in_node[o]
-            v = vals_sorted[start:stop][keep]
-            m = v.size
+            m = np.count_nonzero(keep)
             if m < 2:
                 continue
-            pos = np.nonzero(v[:-1] < v[1:])[0]
+            if m == o.size:
+                v = vals_sorted[start:stop]
+                rows = o
+            else:
+                sel = np.flatnonzero(keep)
+                v = vals_sorted[start:stop].take(sel)
+                rows = o.take(sel)
+            pos = np.flatnonzero(v[:-1] < v[1:])
             if pos.size == 0:
                 continue
-            rows = o[keep]
-            pg = np.cumsum(g[rows])
-            ph = np.cumsum(h[rows])
-            gl = pg[pos]
-            hl = ph[pos]
+            pg = np.cumsum(g.take(rows))
+            ph = np.cumsum(h.take(rows))
+            gl = pg.take(pos)
+            hl = ph.take(pos)
             gs = np.concatenate((gl, gl + (g_total - pg[m - 1])))
             hs = np.concatenate((hl, hl + (h_total - ph[m - 1])))
             gr = g_total - gs

@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
+import struct
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from fortress import _kernels as K
+from fortress import _fork, _kernels as K
 from fortress._config import Config
 from fortress.rng import spawn
 
@@ -176,13 +179,22 @@ class Tree:
         }
 
     @classmethod
-    def from_node_dict(cls, doc: dict) -> "Tree":
+    def from_node_dict(cls, doc: dict, n_features: int | None = None) -> "Tree":
+        """Inverse of :meth:`to_node_dict`; refuses a node that cannot be
+        scored: a non-finite threshold or weight, or a split feature outside
+        ``[0, n_features)``."""
         builder = _TreeBuilder()
+
+        def finite(value: object, name: str) -> float:
+            out = float(value)
+            if not math.isfinite(out):
+                raise ValueError(f"malformed tree node: {name} {out!r} is not finite")
+            return out
 
         def walk(node: dict) -> int:
             idx = builder.add()
             if "weight" in node:
-                builder.weight[idx] = float(node["weight"])
+                builder.weight[idx] = finite(node["weight"], "weight")
                 return idx
             try:
                 feat = int(node["feature"])
@@ -194,8 +206,13 @@ class Tree:
                 raise ValueError(f"malformed tree node: {exc}") from None
             if default not in ("left", "right"):
                 raise ValueError(f"malformed tree node: default {default!r}")
+            if feat < 0 or (n_features is not None and feat >= n_features):
+                width = "" if n_features is None else f" of {n_features} features"
+                raise ValueError(
+                    f"malformed tree node: split feature {feat} is outside the schema{width}"
+                )
             builder.feature[idx] = feat
-            builder.threshold[idx] = thr
+            builder.threshold[idx] = finite(thr, "threshold")
             builder.default_left[idx] = default == "left"
             builder.left[idx] = walk(left_doc)
             builder.right[idx] = walk(right_doc)
@@ -377,6 +394,113 @@ class _TreeBuilder:
         )
 
 
+# one split search request (g_total, h_total, lambda, gamma, min child
+# hessian, active count) and its answer (gain, feature, threshold, default
+# left); each is one write below PIPE_BUF, so a read gets all of it or, once
+# the writer is gone, nothing
+_REQUEST = struct.Struct("=5dq")
+_REPLY = struct.Struct("=dqd?")
+
+
+def _first_best(a: tuple, b: tuple) -> tuple:
+    """Of two split searches over disjoint features, the split the search
+    over all of them returns: it keeps the first best feature in index
+    order, so a higher gain wins and an equal gain goes to the lower index."""
+    return b if b[0] > a[0] or (b[0] == a[0] and b[1] < a[1]) else a
+
+
+class _SplitHelper:
+    """A forked process that runs the split search over every other active
+    feature of a node while this process runs it over the rest.
+
+    The helper inherits the presort. The gradients, the hessians, the node
+    mask and the helper's active features live in an anonymous shared
+    mapping; each node costs one fixed-size request and one reply on raw
+    pipes. :meth:`close` ends and reaps the helper; a helper that died
+    raises ``ChildProcessError`` rather than leaving the search waiting.
+    """
+
+    def __init__(self, presort: tuple[np.ndarray, ...], n: int, d: int) -> None:
+        shared = mmap.mmap(-1, 16 * n + 8 * d + n)
+        self.g = np.frombuffer(shared, np.float64, n, 0)
+        self.h = np.frombuffer(shared, np.float64, n, 8 * n)
+        self._active = np.frombuffer(shared, np.int64, d, 16 * n)
+        self._in_node = np.frombuffer(shared, np.bool_, n, 16 * n + 8 * d)
+        req_read, self._req = os.pipe()
+        self._rep, rep_write = os.pipe()
+        try:
+            self.pid: int | None = os.fork()
+        except OSError:
+            for fd in (req_read, self._req, self._rep, rep_write):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self._req)
+                os.close(self._rep)
+                self._serve(presort, req_read, rep_write)
+                code = 0
+            finally:
+                # no atexit handler, no flush of stdio inherited from the parent
+                os._exit(code)
+        os.close(req_read)
+        os.close(rep_write)
+
+    def _serve(self, presort: tuple[np.ndarray, ...], req: int, rep: int) -> None:
+        vals_sorted, sort_rows, offsets = presort
+        while msg := os.read(req, _REQUEST.size):
+            g_total, h_total, lam, gamma, min_h, count = _REQUEST.unpack(msg)
+            result = K.best_split_numpy(
+                vals_sorted, sort_rows, offsets, self._in_node, self.g, self.h,
+                g_total, h_total, self._active[:count], lam, gamma, min_h,
+            )
+            os.write(rep, _REPLY.pack(*result))
+
+    def load(self, g: np.ndarray, h: np.ndarray) -> None:
+        """Hand the round's gradients and hessians to the helper."""
+        self.g[:] = g
+        self.h[:] = h
+
+    def best_split(self, vals_sorted, sort_rows, offsets, in_node, g, h,
+                   g_total, h_total, active, lam, gamma, min_h):
+        """``K.best_split`` over ``active``, with ``g`` and ``h`` as last
+        :meth:`load`-ed: the helper takes ``active[1::2]``."""
+        theirs = active[1::2]
+        if theirs.size:
+            self._in_node[:] = in_node
+            self._active[:theirs.size] = theirs
+            request = _REQUEST.pack(g_total, h_total, lam, gamma, min_h, theirs.size)
+            try:
+                os.write(self._req, request)
+            except BrokenPipeError:
+                raise self._died() from None
+        # looked up now, so a wrapper of the kernel sees this half
+        mine = K.best_split(vals_sorted, sort_rows, offsets, in_node, g, h,
+                            g_total, h_total, active[0::2], lam, gamma, min_h)
+        if not theirs.size:
+            return mine
+        reply = os.read(self._rep, _REPLY.size)
+        if not reply:
+            raise self._died()
+        return _first_best(mine, _REPLY.unpack(reply))
+
+    def _died(self) -> ChildProcessError:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        how = _fork.exit_description(os.waitstatus_to_exitcode(status))
+        return ChildProcessError(f"the split helper {how}")
+
+    def close(self) -> None:
+        """End the helper (it sees end of file on its request pipe) and
+        reap it."""
+        os.close(self._req)
+        os.close(self._rep)
+        if self.pid is not None:
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def train(
     X: np.ndarray | TrainMatrix,
     y: np.ndarray | None = None,
@@ -401,9 +525,17 @@ def train(
             :func:`_reusable_prefix`). The result is the fresh train's model
             either way; only the work done differs.
 
+    With trees left to grow, the numpy kernels, and more than one CPU
+    allowed by ``_fork.worker_count`` (so not inside a candidate worker,
+    with other threads running, or with one CPU), the split search of
+    every node is shared with one forked :class:`_SplitHelper`, which
+    takes every other active feature. The model is the serial search's,
+    byte for byte, and the helper is reaped before this returns or raises.
+
     Raises:
         ValueError: on shape problems, a single-class label vector, or an
             empty mask.
+        ChildProcessError: the split helper died.
     """
     if isinstance(X, TrainMatrix):
         if y is not None:
@@ -460,70 +592,88 @@ def train(
     for tree in prefix:
         margins = margins + _tree_margin(tree, tm.X)
 
-    for round_ix in range(len(prefix), config.rounds):
-        p = _sigmoid(margins)
-        g = p - tm.y
-        h = p * (1.0 - p)
+    # the numba kernels keep the serial search: no test covers a helper there
+    helper = None
+    if (
+        len(prefix) < config.rounds
+        and active_all.size > 1
+        and not K.USE_NUMBA
+        and _fork.worker_count() > 1
+    ):
+        try:
+            helper = _SplitHelper(tm.presort, n, d)
+        except OSError:  # no process to spare after all: search serially
+            helper = None
+    try:
+        for round_ix in range(len(prefix), config.rounds):
+            p = _sigmoid(margins)
+            g = p - tm.y
+            h = p * (1.0 - p)
+            if helper is not None:
+                helper.load(g, h)
 
-        root_mask = np.ones(n, dtype=np.bool_)
-        active = active_all
-        if config.row_subsample < 1.0 or config.col_subsample < 1.0:
-            rng = spawn(config.seed, round_ix)
-            if config.row_subsample < 1.0:
-                keep = max(1, int(math.floor(config.row_subsample * n)))
-                root_mask = np.zeros(n, dtype=np.bool_)
-                root_mask[rng.choice(n, size=keep, replace=False)] = True
-            if config.col_subsample < 1.0:
-                keep_f = max(1, int(math.floor(config.col_subsample * active_all.size)))
-                active = np.sort(rng.choice(active_all, size=keep_f, replace=False))
+            root_mask = np.ones(n, dtype=np.bool_)
+            active = active_all
+            if config.row_subsample < 1.0 or config.col_subsample < 1.0:
+                rng = spawn(config.seed, round_ix)
+                if config.row_subsample < 1.0:
+                    keep = max(1, int(math.floor(config.row_subsample * n)))
+                    root_mask = np.zeros(n, dtype=np.bool_)
+                    root_mask[rng.choice(n, size=keep, replace=False)] = True
+                if config.col_subsample < 1.0:
+                    keep_f = max(1, int(math.floor(config.col_subsample * active_all.size)))
+                    active = np.sort(rng.choice(active_all, size=keep_f, replace=False))
 
-        builder = _TreeBuilder()
+            builder = _TreeBuilder()
 
-        def grow(node_mask: np.ndarray, depth: int) -> int:
-            node = builder.add()
-            rows = np.nonzero(node_mask)[0]
-            g_total, h_total = _node_sums(g, h, rows)
-            if h_total + lam == 0.0:
-                # every row's score is saturated and l2_lambda is 0, so
-                # min_child_hessian is above 0 and no split is admissible;
-                # the leaf weight -G/(H+lambda) is 0/0, taken as 0 (as in
-                # XGBoost's CalcWeight)
-                builder.weight[node] = 0.0
-                return node
-            if depth < config.max_depth:
-                gain, j, threshold, default_left = K.best_split(
-                    vals_sorted,
-                    sort_rows,
-                    offsets,
-                    node_mask,
-                    g,
-                    h,
-                    g_total,
-                    h_total,
-                    active,
-                    lam,
-                    gamma,
-                    min_h,
-                )
-                if j >= 0 and gain > 0.0:
-                    builder.feature[node] = int(j)
-                    builder.threshold[node] = float(threshold)
-                    builder.default_left[node] = bool(default_left)
-                    go_left = _route_left(tm.X[:, int(j)], float(threshold), bool(default_left))
-                    builder.left[node] = grow(node_mask & go_left, depth + 1)
-                    builder.right[node] = grow(node_mask & ~go_left, depth + 1)
+            def grow(node_mask: np.ndarray, depth: int) -> int:
+                node = builder.add()
+                rows = np.nonzero(node_mask)[0]
+                g_total, h_total = _node_sums(g, h, rows)
+                if h_total + lam == 0.0:
+                    # every row's score is saturated and l2_lambda is 0, so
+                    # min_child_hessian is above 0 and no split is admissible;
+                    # the leaf weight -G/(H+lambda) is 0/0, taken as 0 (as in
+                    # XGBoost's CalcWeight)
+                    builder.weight[node] = 0.0
                     return node
-            builder.weight[node] = -g_total / (h_total + lam) * lr
-            return node
+                if depth < config.max_depth:
+                    search = K.best_split if helper is None else helper.best_split
+                    gain, j, threshold, default_left = search(
+                        vals_sorted,
+                        sort_rows,
+                        offsets,
+                        node_mask,
+                        g,
+                        h,
+                        g_total,
+                        h_total,
+                        active,
+                        lam,
+                        gamma,
+                        min_h,
+                    )
+                    if j >= 0 and gain > 0.0:
+                        builder.feature[node] = int(j)
+                        builder.threshold[node] = float(threshold)
+                        builder.default_left[node] = bool(default_left)
+                        go_left = _route_left(tm.X[:, int(j)], float(threshold), bool(default_left))
+                        builder.left[node] = grow(node_mask & go_left, depth + 1)
+                        builder.right[node] = grow(node_mask & ~go_left, depth + 1)
+                        return node
+                builder.weight[node] = -g_total / (h_total + lam) * lr
+                return node
 
-        grow(root_mask, 0)
-        # grow refers to itself; without this the cycle keeps g, h and tm
-        # alive until a cyclic collection, which may come many trains later
-        del grow
-        tree = builder.finish()
-        model.trees.append(tree)
-        margins = margins + _tree_margin(tree, tm.X)
-
+            grow(root_mask, 0)
+            # grow refers to itself; without this the cycle keeps g, h and tm
+            # alive until a cyclic collection, which may come many trains later
+            del grow
+            tree = builder.finish()
+            model.trees.append(tree)
+            margins = margins + _tree_margin(tree, tm.X)
+    finally:
+        if helper is not None:
+            helper.close()
     return model
 
 
@@ -645,8 +795,8 @@ def deserialize(doc: dict) -> BoostedModel:
         schema = tuple(str(s) for s in doc["schema"])
         mask = np.array([bool(b) for b in doc["mask"]], dtype=np.bool_)
         base_score = float(doc["base_score"])
-        config = TrainConfig.from_dict(dict(doc["config"]))
-        trees = [Tree.from_node_dict(t) for t in doc["trees"]]
+        config = TrainConfig.from_dict(doc["config"])
+        trees = [Tree.from_node_dict(t, len(schema)) for t in doc["trees"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model document: {exc}") from None
     if mask.shape != (len(schema),):

@@ -29,9 +29,12 @@ them), at most one per candidate left to retrain, and none when no such
 candidate is left. The gate still commits strictly in candidate order. An
 acceptance drops the results computed against the old model, classifies the
 remaining candidates again, and restarts from the next candidate, so every
-artifact is byte-identical to a serial pass. With one CPU, without
-``fork``, inside a daemonic process, or while other threads run, the pass
-runs serially in the calling process.
+artifact is byte-identical to a serial pass. Where ``_fork.worker_count``
+allows no second process (one CPU, no ``fork``, a daemonic process, other
+threads running), the pass runs serially in the calling process. The same
+rule lets ``model.train`` share each split search with a forked helper, so a
+train in this process uses a spare CPU while a candidate worker, which is
+daemonic, trains serially.
 
 ``experiment_table`` reruns the surrounding comparisons (single-snapshot and
 multi-snapshot trainings, full and stable-only feature sets) and evaluates
@@ -43,13 +46,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import logging
-import os
-import threading
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from fortress import _fork
 from fortress._config import Config
 from fortress.data import (
     TRAIN,
@@ -145,10 +147,9 @@ class PipelineConfig(Config):
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "PipelineConfig":
-        kwargs = dict(doc)
-        if "train" in kwargs:
-            kwargs["train"] = TrainConfig.from_dict(dict(kwargs["train"]))
-        return super().from_dict(kwargs)
+        if isinstance(doc, Mapping) and "train" in doc:
+            doc = {**doc, "train": TrainConfig.from_dict(doc["train"])}
+        return super().from_dict(doc)
 
 
 @dataclass
@@ -247,14 +248,6 @@ class ExperimentResult:
         }
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on (its affinity set, where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _keeps_every_tree(
     model: BoostedModel, tm: TrainMatrix, config: TrainConfig, mask: np.ndarray
 ) -> bool:
@@ -266,50 +259,43 @@ def _keeps_every_tree(
 
 @contextlib.contextmanager
 def _in_candidate_order(
-    evaluate: Callable[[int], Any], indices: Sequence[int]
+    evaluate: Callable[[int], Any], indices: Sequence[int], names: Sequence[str]
 ) -> Iterator[Iterator[Any]]:
     """Yield an iterator of ``evaluate(i)`` for ``i`` in ``indices``, in order.
 
-    With more than one worker the evaluations run ahead on forked worker
-    processes, which inherit ``evaluate`` and its state instead of receiving
-    it pickled; only the index goes in and the result comes back. This
-    process starts no thread for them: it hands the next index to whichever
-    worker is idle while it waits for the result it needs. Leaving the block
-    terminates the workers, dropping the evaluations still in flight. With
-    one worker, without ``fork``, inside a daemonic process (which may not
-    have children), or while other threads run (a fork copies only the
-    calling thread, so a lock another thread holds would stay locked in the
-    child) the same results come from ``map`` in this process.
+    Where ``_fork.worker_count`` allows more than one worker, the
+    evaluations run ahead on forked worker processes, which inherit
+    ``evaluate`` and its state instead of receiving it pickled; only the
+    index goes in and the result comes back. This process starts no thread
+    for them: it hands the next index to whichever worker is idle while it
+    waits for the result it needs. A worker that dies raises
+    ``ChildProcessError`` naming ``names[i]`` of its index. Leaving the block
+    terminates the workers, dropping the evaluations still in flight.
+    Otherwise the same results come from ``map`` in this process.
     """
-    workers = min(_worker_count(), len(indices))
-    if workers > 1 and threading.active_count() == 1:
-        import multiprocessing
+    workers = min(_fork.worker_count(), len(indices))
+    if workers < 2:
+        yield map(evaluate, indices)
+        return
+    import multiprocessing
 
-        if (
-            "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon
-        ):
-            ctx = multiprocessing.get_context("fork")
-            procs, conns = [], []
-            try:
-                for _ in range(workers):
-                    conn, child_conn = ctx.Pipe()
-                    conns.append(conn)
-                    procs.append(ctx.Process(
-                        target=_serve, args=(evaluate, child_conn), daemon=True
-                    ))
-                    procs[-1].start()
-                    child_conn.close()
-                yield _dispatch(conns, indices)
-            finally:
-                for p in procs:
-                    p.terminate()
-                for p in procs:
-                    p.join()
-                for conn in conns:
-                    conn.close()
-            return
-    yield map(evaluate, indices)
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for _ in range(workers):
+            conn, child_conn = ctx.Pipe()
+            conns.append(conn)
+            procs.append(ctx.Process(target=_serve, args=(evaluate, child_conn), daemon=True))
+            procs[-1].start()
+            child_conn.close()
+        yield _dispatch(dict(zip(conns, procs)), indices, names)
+    finally:
+        for p in procs:
+            p.terminate()
+        for p in procs:
+            p.join()
+        for conn in conns:
+            conn.close()
 
 
 def _serve(evaluate: Callable[[int], Any], conn) -> None:
@@ -327,23 +313,37 @@ def _serve(evaluate: Callable[[int], Any], conn) -> None:
         conn.send(reply)
 
 
-def _dispatch(conns: list, indices: Sequence[int]) -> Iterator[Any]:
-    """Results for ``indices`` in order, from workers fed one index at a time."""
+def _dispatch(workers: dict, indices: Sequence[int], names: Sequence[str]) -> Iterator[Any]:
+    """Results for ``indices`` in order, from ``workers`` (connection ->
+    process) fed one index at a time."""
     from multiprocessing.connection import wait
+
+    def lost(conn, i: int) -> ChildProcessError:
+        proc = workers[conn]
+        proc.join()
+        how = _fork.exit_description(proc.exitcode)
+        return ChildProcessError(f"the worker retraining candidate {names[i]} {how}")
 
     todo = iter(indices)
     busy: dict = {}  # connection -> the index its worker is evaluating
     done: dict[int, tuple[bool, Any]] = {}
-    for conn, i in zip(conns, todo):
+    for conn, i in zip(workers, todo):
         conn.send(i)
         busy[conn] = i
     for i in indices:
         while i not in done:
             for conn in wait(list(busy)):
-                done[busy.pop(conn)] = conn.recv()
+                j = busy.pop(conn)
+                try:
+                    done[j] = conn.recv()
+                except EOFError:
+                    raise lost(conn, j) from None
                 nxt = next(todo, None)
                 if nxt is not None:
-                    conn.send(nxt)
+                    try:
+                        conn.send(nxt)
+                    except BrokenPipeError:
+                        raise lost(conn, nxt) from None
                     busy[conn] = nxt
         ok, value = done.pop(i)
         if not ok:
@@ -446,7 +446,7 @@ def _fortress_core(
         }
         step = functools.partial(evaluate, cur_model, cur_scores, cur_mask)
         retrain = [i for i in remaining if i not in unchanged]
-        with _in_candidate_order(step, retrain) as retrained:
+        with _in_candidate_order(step, retrain, candidates) as retrained:
             for i in remaining:
                 if i in unchanged:
                     # what evaluate(i) returns, without retraining or scoring

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import re
 
 import pytest
 
+from fortress import pipeline
 from fortress.cli import main
 from fortress.data import PartitionAssignment, parse_csv
 from fortress.model import load_model
+from fortress.rng import mix64
 from fortress.synth import SynthConfig, generate
 from fortress.data import write_csv
 
@@ -269,6 +273,53 @@ class TestErrorHandling:
         assert code == 1
         assert capsys.readouterr().err == (
             f"fortress: error: {cfg}: run config sections ['eval', 'train'] must be JSON objects\n"
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_dead_candidate_worker_is_reported(self, workspace, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+        ranked = []
+        real_ranking, real_paired = pipeline.prune_candidates, pipeline.paired_delta_significance
+
+        def ranking(*args, **kwargs):
+            ranked[:] = real_ranking(*args, **kwargs)
+            return tuple(ranked)
+
+        def paired(*args, seed, **kwargs):
+            if os.getpid() != parent and seed == mix64(9, 1):  # candidate 1's worker
+                os._exit(3)
+            return real_paired(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(pipeline, "prune_candidates", ranking)
+        monkeypatch.setattr(pipeline, "paired_delta_significance", paired)
+        # retrain every candidate, on two workers
+        monkeypatch.setattr(pipeline, "_keeps_every_tree", lambda *args: False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "m.json"
+        code = main([
+            "prune", "--config", str(workspace / "run.json"), "--data", str(workspace / "data.csv"),
+            "--partition", str(workspace / "part.json"), "--out", str(out), "--seed", "9",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"fortress: i/o error: the worker retraining candidate {ranked[1]} exited with status 3\n"
+        )
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    def test_deserialize_refusal_ends_eval_with_exit_1(self, workspace, tmp_path, capsys):
+        doc = _json(workspace / "pruned.json")
+        doc["trees"][0]["feature"] = 99
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc))
+        code = main([
+            "eval", "--data", str(workspace / "data.csv"), "--model", str(model),
+            "--out", str(tmp_path / "e.json"), "--partition", str(workspace / "part.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "fortress: error: malformed tree node: split feature 99 is outside the schema "
+            "of 25 features\n"
         )
 
     def test_part_all_with_partition_conflicts(self, workspace, tmp_path, capsys):

@@ -128,3 +128,18 @@ def test_is_integer(value, expected):
 def test_check_number_refuses_non_numbers(value):
     with pytest.raises(ValueError, match="^x must be a number, got "):
         check_number(value, "x")
+
+
+@pytest.mark.parametrize("section", [5, None, "x", [("rounds", 5)]])
+@pytest.mark.parametrize("cls", SECTIONS)
+def test_a_section_that_is_not_an_object_is_refused(cls, section):
+    with pytest.raises(ValueError) as exc:
+        cls.from_dict(section)
+    assert str(exc.value) == f"the {cls.section} config section must be an object, got {section!r}"
+
+
+@pytest.mark.parametrize("section", [5, None, "x"])
+def test_a_nested_train_section_that_is_not_an_object_is_refused(section):
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig.from_dict({"train": section})
+    assert str(exc.value) == f"the train config section must be an object, got {section!r}"

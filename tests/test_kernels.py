@@ -18,6 +18,7 @@ from fortress import _kernels as K
 from fortress.model import (
     TrainConfig,
     TrainMatrix,
+    _first_best,
     _node_sums,
     dumps_canonical,
     serialize,
@@ -120,6 +121,43 @@ class TestSplitSearchOracle:
         args = list(_split_inputs(rng, n=8))
         args[8] = np.empty(0, dtype=np.int64)  # no active feature
         assert _split_bits(K.best_split_numpy(*args)) == sentinel
+
+
+def _halves(args):
+    """The split searches over ``active[0::2]`` and ``active[1::2]``, the two
+    shares of a search split with the helper of ``model.train``."""
+    active = args[8]
+    return [K.best_split_numpy(*args[:8], part, *args[9:])
+            for part in (active[0::2], active[1::2])]
+
+
+class TestSplitHalves:
+    """Merging the two interleaved halves of the active features equals
+    one search over all of them, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(args=_split_nodes())
+    def test_merged_halves_equal_the_full_search(self, args):
+        # the strategy's last column copies column 0; with an even number
+        # of active features the two copies fall in different halves
+        assert _split_bits(_first_best(*_halves(args))) == _split_bits(
+            K.best_split_numpy(*args)
+        )
+
+    @pytest.mark.parametrize("copies", [(0, 1), (1, 2)], ids=["even-first", "odd-first"])
+    def test_a_tie_across_the_halves_goes_to_the_lower_index(self, rng, copies):
+        n = 40
+        X = rng.random((n, 3))
+        y = (rng.random(n) < 0.5).astype(np.float64)
+        X[:, copies[0]] = X[:, copies[1]] = y + 0.1 * rng.random(n)
+        vals_sorted, sort_rows, offsets = TrainMatrix(X, y).presort
+        g, h = 0.5 - y, np.full(n, 0.25)
+        args = (vals_sorted, sort_rows, offsets, np.ones(n, dtype=np.bool_), g, h,
+                *_node_sums(g, h, np.arange(n)), np.arange(3), 1.0, 0.0, 1e-3)
+        even, odd = _halves(args)
+        assert even[0] == odd[0] and even[1] != odd[1]
+        assert _first_best(even, odd)[1] == copies[0]
+        assert _split_bits(_first_best(even, odd)) == _split_bits(K.best_split_numpy(*args))
 
 
 @needs_numba

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
+import signal
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -445,6 +450,12 @@ class TestWarmStart:
             assert dumps_canonical(serialize(warm)) == fresh
 
 
+def _first_leaf(node: dict) -> dict:
+    while "weight" not in node:
+        node = node["left"]
+    return node
+
+
 class TestSerialization:
     def _trained(self, rng):
         X = rng.random((300, 6))
@@ -488,6 +499,13 @@ class TestSerialization:
             lambda d: d["trees"][0].pop("threshold"),
             lambda d: d["trees"][0].update(default="sideways"),
             lambda d: d.update(mask=[True]),
+            lambda d: d["trees"][0].update(feature=99),
+            lambda d: d["trees"][0].update(feature=6),
+            lambda d: d["trees"][0].update(feature=-3),
+            lambda d: d["trees"][0].update(threshold=math.nan),
+            lambda d: d["trees"][0].update(threshold=-math.inf),
+            lambda d: _first_leaf(d["trees"][0]).update(weight=math.inf),
+            lambda d: d.update(config=5),
         ],
     )
     def test_deserialize_rejects_malformed_documents(self, rng, mutate):
@@ -495,6 +513,23 @@ class TestSerialization:
         mutate(doc)
         with pytest.raises(ValueError):
             deserialize(doc)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("feature", 99, "split feature 99 is outside the schema of 6 features"),
+            ("feature", -3, "split feature -3 is outside the schema of 6 features"),
+            ("threshold", math.nan, "threshold nan is not finite"),
+            ("weight", -math.inf, "weight -inf is not finite"),
+        ],
+    )
+    def test_deserialize_names_the_node_that_cannot_be_scored(self, rng, field, value, message):
+        doc = serialize(self._trained(rng))
+        root = doc["trees"][0]
+        (_first_leaf(root) if field == "weight" else root)[field] = value
+        with pytest.raises(ValueError) as exc:
+            deserialize(doc)
+        assert str(exc.value) == f"malformed tree node: {message}"
 
     def test_deserialize_refuses_a_mistyped_config(self, rng):
         doc = serialize(self._trained(rng))
@@ -532,3 +567,187 @@ class TestPredictApi:
         model = train(X, y, TrainConfig(rounds=3))
         with pytest.raises(ValueError, match="schema width"):
             model.predict_margin(np.zeros((4, 3)))
+
+
+def _trained_at(cpus, *args, **kwargs):
+    """``train(*args, **kwargs)`` where the fork rule allows ``cpus``
+    processes: (the model, its canonical bytes, the processes it forked)."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    with mock.patch.object(model_module._fork, "worker_count", lambda: cpus), \
+            mock.patch.object(os, "fork", fork):
+        model = train(*args, **kwargs)
+    return model, dumps_canonical(serialize(model)), len(forks)
+
+
+@st.composite
+def _helper_cases(draw):
+    """(matrix, config, mask, warm start): tied and missing values, two
+    adjacent identical columns that carry the label (equal gains in the two
+    halves of the search), row and column subsampling, and a prior model
+    on a wider mask for some of them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 120))
+    d = draw(st.integers(2, 7))
+    X = np.floor(rng.random((n, d)) * draw(st.sampled_from([3, 1000])))
+    X[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.2]))] = np.nan
+    j = draw(st.integers(0, d - 2))
+    X[:, j + 1] = X[:, j]
+    col = np.nan_to_num(X[:, j], nan=-1.0)
+    y = (rng.random(n) < np.where(col >= np.median(col), 0.8, 0.2)).astype(float)
+    y[:2] = (0.0, 1.0)
+    tm = TrainMatrix(X, y)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)), dtype=np.bool_)
+    mask[[j, j + 1]] = True
+    cfg = draw(_train_configs(st.sampled_from([1.0, 0.7])))
+    prior = None
+    others = [k for k in range(d) if k not in (j, j + 1)]
+    if others and draw(st.booleans()):
+        wide = mask.copy()
+        wide[draw(st.sampled_from(others))] = True
+        prior = train(tm, config=cfg, mask=wide)
+        mask = wide.copy()
+        mask[draw(st.sampled_from(others))] = False
+    return tm, cfg, mask, prior
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("train forked a split helper")
+
+
+def _train_in_daemon(queue, tm, cfg):
+    os.fork = _no_fork  # this process only
+    try:
+        queue.put(dumps_canonical(serialize(train(tm, config=cfg))))
+    except Exception as exc:  # report it, so the parent does not wait in vain
+        queue.put(repr(exc))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
+    reason="needs fork and /proc/self/fd",
+)
+class TestSplitHelper:
+    """A train that shares each split search with a forked helper grows the
+    serial train's model, and leaves no process or pipe behind."""
+
+    CFG = TrainConfig(rounds=10, max_depth=3)
+
+    def _matrix(self, rng, n=300, d=6):
+        X = rng.random((n, d))
+        X[rng.random((n, d)) < 0.1] = np.nan
+        y = ((np.nan_to_num(X[:, 0]) + np.nan_to_num(X[:, 3])) > 0.9).astype(float)
+        return TrainMatrix(X, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_helper_cases())
+    def test_helper_trains_the_serial_model(self, case):
+        tm, cfg, mask, prior = case
+        _, serial, none = _trained_at(1, tm, config=cfg, mask=mask, warm_start=prior)
+        model, helped, forks = _trained_at(2, tm, config=cfg, mask=mask, warm_start=prior)
+        assert helped == serial
+        assert none == 0 and forks == (model.rounds_reused < cfg.rounds)
+
+    def test_helper_is_reaped_and_its_pipes_closed(self, rng):
+        tm = self._matrix(rng)
+        before = _open_fds()
+        *_, forks = _trained_at(2, tm, config=self.CFG)
+        assert forks == 1
+        assert _open_fds() == before
+        _assert_no_child()
+
+    def test_a_failing_search_still_reaps_the_helper(self, rng, monkeypatch):
+        tm = self._matrix(rng)
+        real = model_module.K.best_split
+        calls = []
+
+        def fails_fifth(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("fifth search")
+            return real(*args)
+
+        monkeypatch.setattr(model_module.K, "best_split", fails_fifth)
+        before = _open_fds()
+        with pytest.raises(RuntimeError, match="^fifth search$"):
+            _trained_at(2, tm, config=self.CFG)
+        assert len(calls) == 5
+        assert _open_fds() == before
+        _assert_no_child()
+
+    def test_a_killed_helper_is_reported(self, rng, monkeypatch):
+        tm = self._matrix(rng)
+        real_fork, real_search = os.fork, model_module.K.best_split
+        pids, calls = [], []
+
+        def fork():
+            pid = real_fork()
+            pids.append(pid)
+            return pid
+
+        def kills_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                os.kill(pids[0], signal.SIGKILL)
+            return real_search(*args)
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the train waited on a dead helper")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(model_module.K, "best_split", kills_third)
+        monkeypatch.setattr(model_module._fork, "worker_count", lambda: 2)
+        before = _open_fds()
+        old = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ChildProcessError) as exc:
+                train(tm, config=self.CFG)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert str(exc.value) == "the split helper was killed by signal SIGKILL"
+        assert _open_fds() == before
+        _assert_no_child()
+
+    @pytest.mark.parametrize("case", ["one CPU", "another thread", "daemonic process"])
+    def test_the_fork_rule_keeps_the_train_serial(self, rng, monkeypatch, case):
+        tm = self._matrix(rng)
+        _, serial, _ = _trained_at(1, tm, config=self.CFG)
+        cpus = 1 if case == "one CPU" else 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        if case == "daemonic process":
+            ctx = multiprocessing.get_context("fork")
+            queue = ctx.Queue()
+            child = ctx.Process(target=_train_in_daemon, args=(queue, tm, self.CFG), daemon=True)
+            child.start()
+            got = queue.get(timeout=120)
+            child.join(timeout=60)
+            assert not child.is_alive()
+            assert got == serial
+            return
+        monkeypatch.setattr(os, "fork", _no_fork)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        if case == "another thread":
+            waiter.start()
+        try:
+            assert dumps_canonical(serialize(train(tm, config=self.CFG))) == serial
+        finally:
+            release.set()
+            if waiter.is_alive():
+                waiter.join(timeout=60)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -359,8 +360,13 @@ def _artifacts(result):
             dumps_canonical(serialize(result.baseline)))
 
 
+def _at_cpus(monkeypatch, n):
+    """Make the affinity set ``n`` CPUs; the rest of the fork rule still holds."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def _at_workers(monkeypatch, n, run):
-    monkeypatch.setattr(pipeline, "_worker_count", lambda: n)
+    _at_cpus(monkeypatch, n)
     out = run()
     assert multiprocessing.active_children() == []
     return out
@@ -439,7 +445,7 @@ class TestCandidateWorkers:
     def test_daemonic_process_falls_back_to_serial(self, monkeypatch):
         # a daemonic process may not start children, so a pool there would fail
         dataset, _ = generate(SMALL_SYNTH)
-        monkeypatch.setattr(pipeline, "_worker_count", lambda: 2)
+        _at_cpus(monkeypatch, 2)
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         child = ctx.Process(target=_in_daemon, args=(queue, dataset), daemon=True)
