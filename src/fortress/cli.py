@@ -14,7 +14,12 @@ Subcommands mirror the library pipeline::
 
 Conventions shared by all subcommands:
 
-* Exit codes: 0 success, 1 validation error, 2 I/O error.
+* Exit codes: 0 success, 1 validation error, 2 I/O error or a dead worker
+  process.
+* ``--data`` is read with ``data.read_dataset``: the first read of a regular
+  file writes the parsed dataset next to it as ``<data>.fortress-cache``,
+  which later commands load instead of parsing while the file's sha256 is
+  unchanged. Deleting the sidecar is always safe.
 * ``--config`` points at a run-config JSON with optional sections ``seed``,
   ``synth``, ``train``, ``pipeline``, ``eval``; unknown sections or fields
   are errors.
@@ -47,8 +52,8 @@ from fortress.data import (
     PartitionAssignment,
     SnapshotDataset,
     check_fractions,
-    parse_csv,
     partition_entities,
+    read_dataset,
     write_csv,
 )
 from fortress.flipflop import check_tau, flip_flop_rate, relative_reduction, tau_from_percentile
@@ -289,7 +294,7 @@ def _cmd_gen(args: argparse.Namespace) -> None:
 
 def _cmd_split(args: argparse.Namespace) -> None:
     fractions = _fractions(args)
-    dataset = parse_csv(args.data)
+    dataset = read_dataset(args.data)
     partition = partition_entities(dataset, fractions, args.salt or DEFAULT_SALT)
     _write_json(args.out, partition.to_dict())
     log.info("partition counts: %s", partition.counts())
@@ -300,7 +305,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
     seed = resolve_seed(args.seed, config)
     cfg = _train_config(config, seed)
     scope = _scope(args, default_part="train")
-    dataset = parse_csv(args.data)
+    dataset = read_dataset(args.data)
     rows = _select_rows(dataset, scope.resolve(dataset), scope.part)
     if rows.size == 0:
         raise ValueError("no rows selected for training")
@@ -320,7 +325,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
 def _cmd_stability(args: argparse.Namespace) -> None:
     check_percentile(args.percentile)
     scope = _scope(args, default_part="val")
-    dataset = parse_csv(args.data)
+    dataset = read_dataset(args.data)
     model = load_model(args.model)
     entities = _select_entities(dataset, scope.resolve(dataset), scope.part)
     report = build_stability_report(model, dataset, entities, percentile=args.percentile)
@@ -335,7 +340,7 @@ def _cmd_prune(args: argparse.Namespace) -> None:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
     cfg = _pipeline_config(config, seed, args)
-    dataset = parse_csv(args.data)
+    dataset = read_dataset(args.data)
     partition = _load_partition(args.partition) if args.partition else None
     result = fortress_run(dataset, cfg, partition=partition)
     save_model(result.model, args.out)
@@ -352,7 +357,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     seed = resolve_seed(args.seed, config)
     cfg = _eval_config(config, args)
     scope = _scope(args, default_part="test")
-    dataset = parse_csv(args.data)
+    dataset = read_dataset(args.data)
     model = load_model(args.model)
     entities = _select_entities(dataset, scope.resolve(dataset), scope.part)
     report = evaluate_model(
@@ -372,7 +377,7 @@ def _cmd_flipflop(args: argparse.Namespace) -> None:
     if args.tau_percentile is not None:
         check_percentile(args.tau_percentile)
     scope = _scope(args, default_part="test")
-    dataset = parse_csv(args.data)
+    dataset = read_dataset(args.data)
     model = load_model(args.model)
     base = load_model(args.base_model) if args.base_model else None
     entities = _select_entities(dataset, scope.resolve(dataset), scope.part)
@@ -401,7 +406,7 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
     cfg = _pipeline_config(config, seed, args)
-    dataset = parse_csv(args.data)
+    dataset = read_dataset(args.data)
     result = experiment_table(dataset, cfg)
     _write_json(args.out, result.to_dict())
     _write_sidecar(args.out, {"kind": "run_config", "seed": seed, "pipeline": cfg.to_dict()})
@@ -551,6 +556,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"fortress: error: {exc}", file=sys.stderr)
         return 1
+    except ChildProcessError as exc:  # an OSError, but no file's fault
+        print(f"fortress: worker error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"fortress: i/o error: {exc}", file=sys.stderr)
         return 2

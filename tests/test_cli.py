@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
 import re
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
 
 from fortress import pipeline
 from fortress.cli import main
-from fortress.data import PartitionAssignment, parse_csv
+from fortress.data import CACHE_SUFFIX, PartitionAssignment, parse_csv, read_dataset
 from fortress.model import load_model
 from fortress.rng import mix64
 from fortress.synth import SynthConfig, generate
@@ -162,6 +166,109 @@ class TestPipelineArtifacts:
             assert not iso_datetime.search(text), name
 
 
+class TestDataSidecar:
+    """``--data`` through ``read_dataset``: sidecar hits give what parses give."""
+
+    @staticmethod
+    def _commands(workspace, d):
+        data = ["--data", str(d / "data.csv")]
+        part = ["--partition", str(d / "part.json")]
+        return [
+            ["split", *data, "--out", str(d / "part.json")],
+            ["train", "--config", str(workspace / "run.json"), *data,
+             "--out", str(d / "model.json"), *part],
+            ["stability", *data, "--model", str(d / "model.json"), "--out", str(d / "stab.json"),
+             *part, "--part", "val"],
+            ["eval", "--config", str(workspace / "run.json"), *data,
+             "--model", str(workspace / "pruned.json"), "--out", str(d / "eval.json"), *part],
+            ["flipflop", *data, "--model", str(workspace / "pruned.json"),
+             "--base-model", str(d / "model.json"), "--out", str(d / "flips.json"), *part],
+        ]
+
+    @staticmethod
+    def _files(d):
+        return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+    def test_reruns_are_byte_identical_with_and_without_the_sidecar(self, workspace, tmp_path):
+        runs = {}
+        for name in ("first", "every command misses"):
+            d = tmp_path / name
+            d.mkdir()
+            (d / "data.csv").write_bytes((workspace / "data.csv").read_bytes())
+            for argv in self._commands(workspace, d):
+                if name != "first":
+                    (d / ("data.csv" + CACHE_SUFFIX)).unlink(missing_ok=True)
+                assert main(argv) == 0, argv
+            runs[name] = self._files(d)
+        first = tmp_path / "first"
+        for argv in self._commands(workspace, first):  # every command hits
+            assert main(argv) == 0, argv
+        runs["every command hits"] = self._files(first)
+        assert runs["first"] == runs["every command misses"] == runs["every command hits"]
+        assert "data.csv" + CACHE_SUFFIX in runs["first"]
+        assert (tmp_path / "first" / "part.json").read_bytes() == (workspace / "part.json").read_bytes()
+
+    def test_a_read_only_directory_is_read_and_left_as_is(self, workspace, tmp_path, monkeypatch):
+        d = tmp_path / "ro"
+        d.mkdir()
+        (d / "data.csv").write_bytes((workspace / "data.csv").read_bytes())
+        d.chmod(0o555)
+        try:
+            if os.access(d, os.W_OK):  # a superuser writes there anyway
+
+                def refuse(*args, dir=None, **kwargs):
+                    if Path(dir) == d:
+                        raise PermissionError(13, "Permission denied", str(dir))
+                    return real_mkstemp(*args, dir=dir, **kwargs)
+
+                real_mkstemp = tempfile.mkstemp
+                monkeypatch.setattr(tempfile, "mkstemp", refuse)
+            out = tmp_path / "part.json"
+            assert main(["split", "--data", str(d / "data.csv"), "--out", str(out)]) == 0
+            assert [p.name for p in d.iterdir()] == ["data.csv"]
+        finally:
+            d.chmod(0o755)
+        assert out.read_bytes() == (workspace / "part.json").read_bytes()
+
+    def test_a_malformed_csv_writes_no_sidecar(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("entity_id,snapshot_id,region,label,f_a\ne,0,r,GOOD,1\ne,1,r,GOOD,abc\n")
+        code = main(["split", "--data", str(bad), "--out", str(tmp_path / "part.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"fortress: error: {bad}: line 3: feature 'f_a': unparseable value 'abc'\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_fifo_is_parsed_without_a_sidecar(self, workspace, tmp_path):
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        # a sidecar keyed by the piped bytes, holding another dataset, is
+        # not used either: the pipe is not hashed ahead of the parse
+        other = tmp_path / "other.csv"
+        write_csv(generate(SynthConfig(n_entities=20, snapshots=2))[0], other)
+        read_dataset(other)
+        stored = (tmp_path / ("other.csv" + CACHE_SUFFIX)).read_bytes()
+        key = hashlib.sha256((workspace / "data.csv").read_bytes()).hexdigest().encode()
+        sidecar = tmp_path / ("pipe.csv" + CACHE_SUFFIX)
+        head = len(b"fortress-cache 1 ")
+        sidecar.write_bytes(stored[:head] + key + stored[head + len(key):])
+        for name in ("other.csv", "other.csv" + CACHE_SUFFIX):
+            (tmp_path / name).unlink()
+        before = sidecar.read_bytes()
+        writer = threading.Thread(
+            target=pipe.write_bytes, args=((workspace / "data.csv").read_bytes(),), daemon=True)
+        writer.start()
+        out = tmp_path / "part.json"
+        assert main(["split", "--data", str(pipe), "--out", str(out)]) == 0
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert out.read_bytes() == (workspace / "part.json").read_bytes()
+        assert sidecar.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["part.json", "pipe.csv", sidecar.name]
+
+
 class TestExperimentCommand:
     def test_experiment_table(self, workspace, tmp_path, capsys):
         out = tmp_path / "table.json"
@@ -302,7 +409,7 @@ class TestErrorHandling:
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"fortress: i/o error: the worker retraining candidate {ranked[1]} exited with status 3\n"
+            f"fortress: worker error: the worker retraining candidate {ranked[1]} exited with status 3\n"
         )
         assert multiprocessing.active_children() == []
         assert not out.exists()

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import functools
+import hashlib
 import io
+import logging
 import math
+import re
 import string
 
 import numpy as np
@@ -14,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fortress import data as data_module
 from fortress.data import (
+    CACHE_SUFFIX,
     _CHUNK_ROWS,
     _parse_rows,
     _screen_rows,
@@ -34,6 +40,7 @@ from fortress.data import (
     parse_csv,
     partition_entities,
     partition_unit,
+    read_dataset,
     rows_in_partition,
     write_csv,
 )
@@ -628,6 +635,162 @@ class TestChunkedCsv:
             write_csv(bad, path)
         assert str(exc.value) == f"{path}: {message}"
         assert not path.exists()
+
+
+@contextlib.contextmanager
+def _parse_refused():
+    """Make any call of ``data.parse_csv`` fail, to show a read was a hit."""
+    real = data_module.parse_csv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_csv called")
+
+    data_module.parse_csv = refuse
+    try:
+        yield
+    finally:
+        data_module.parse_csv = real
+
+
+def _assert_same_dataset(got: SnapshotDataset, want: SnapshotDataset) -> None:
+    """Equal, field for field, with the same dtypes (string widths included)."""
+    assert got == want
+    assert got.schema == want.schema and got.snapshot_kind == want.snapshot_kind
+    for name in ("entity_ids", "snapshot_ids", "regions", "labels", "X"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+    assert got.X.flags.c_contiguous
+    assert got.X.view(np.int64).tobytes() == want.X.view(np.int64).tobytes()
+
+
+def _sidecar(path):
+    return path.with_name(path.name + CACHE_SUFFIX)
+
+
+class TestReadDataset:
+    """``read_dataset`` and its sidecar against the plain ``parse_csv``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ds=snapshot_datasets(), order=st.randoms(use_true_random=False))
+    def test_miss_then_hit_equal_the_parse(self, ds, order, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rd") / "a.csv"
+        head, *records = _reference_write(ds).splitlines(keepends=True)
+        order.shuffle(records)  # the reader sorts rows into canonical order
+        path.write_text(head + "".join(records))
+        want = parse_csv(path)
+        assert not _sidecar(path).exists()
+        _assert_same_dataset(read_dataset(path), want)
+        assert _sidecar(path).read_bytes().startswith(
+            b"fortress-cache 1 " + hashlib.sha256(path.read_bytes()).hexdigest().encode() + b"\n")
+        with _parse_refused():
+            _assert_same_dataset(read_dataset(path), want)
+
+    @staticmethod
+    def _first_read(tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(toy_dataset(), path)
+        read_dataset(path)
+        return path, _sidecar(path).read_bytes()
+
+    def test_an_edit_of_one_byte_misses_and_rewrites_the_sidecar(self, tmp_path):
+        path, old = self._first_read(tmp_path)
+        text = path.read_bytes()
+        edited = text.replace(b",0.25,", b",0.75,")
+        assert len(edited) == len(text) and edited != text
+        path.write_bytes(edited)
+        got = read_dataset(path)
+        _assert_same_dataset(got, parse_csv(path))
+        assert got.X[-1, 0] == 0.75
+        new = _sidecar(path).read_bytes()
+        assert new != old
+        assert new.startswith(b"fortress-cache 1 " + hashlib.sha256(edited).hexdigest().encode())
+
+    @staticmethod
+    def _replace_field(good: bytes, index: int, array: np.ndarray) -> bytes:
+        """``good`` with its ``index``-th stored array replaced by ``array``."""
+        fh = io.BytesIO(good)
+        header = fh.readline()
+        arrays = [np.load(fh) for _ in range(7)]
+        arrays[index] = array
+        out = io.BytesIO()
+        out.write(header)
+        for a in arrays:
+            np.save(out, a)
+        return out.getvalue()
+
+    @staticmethod
+    def _with_key(good: bytes, key: bytes) -> bytes:
+        return b"fortress-cache 1 " + key + good[good.index(b"\n"):]
+
+    DAMAGES = {
+        "truncated": lambda good: good[:-40],
+        "header only": lambda good: good[: good.index(b"\n") + 1],
+        "garbage": lambda good: bytes(range(256)) * 8,
+        "empty": lambda good: b"",
+        "another version": lambda good: b"fortress-cache 2" + good[len(b"fortress-cache 1"):],
+        "another digest": lambda good: TestReadDataset._with_key(
+            good, hashlib.sha256(b"other bytes").hexdigest().encode()),
+        "a short digest": lambda good: TestReadDataset._with_key(good, b"d29e445c115e"),
+        "int64 labels": lambda good: TestReadDataset._replace_field(
+            good, 5, toy_dataset().labels.astype(np.int64)),
+        "a short row array": lambda good: TestReadDataset._replace_field(
+            good, 3, toy_dataset().snapshot_ids[:-1]),
+        "X of another width": lambda good: TestReadDataset._replace_field(
+            good, 6, toy_dataset().X[:, :1].copy()),
+        "X of 1 dimension": lambda good: TestReadDataset._replace_field(
+            good, 6, toy_dataset().X[:, 0].copy()),
+        "0-d labels": lambda good: TestReadDataset._replace_field(good, 5, np.int8(2)),
+        "unknown snapshot kind": lambda good: TestReadDataset._replace_field(
+            good, 1, np.array("week")),
+        "a pickled array": lambda good: TestReadDataset._replace_field(
+            good, 0, np.array(["f_sr_0", "f_eng_0"], dtype=object)),
+    }
+
+    @pytest.mark.parametrize("damage", list(DAMAGES))
+    def test_a_damaged_or_foreign_sidecar_is_ignored_and_rewritten(self, tmp_path, damage):
+        path, good = self._first_read(tmp_path)
+        bad = self.DAMAGES[damage](good)
+        assert bad != good
+        _sidecar(path).write_bytes(bad)
+        _assert_same_dataset(read_dataset(path), toy_dataset())
+        assert _sidecar(path).read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv" + CACHE_SUFFIX]
+
+    def test_an_unwritable_sidecar_costs_only_the_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        write_csv(toy_dataset(), path)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        # a failure after the temporary file exists removes it again
+        monkeypatch.setattr(data_module.os, "replace", refuse)
+        _assert_same_dataset(read_dataset(path), toy_dataset())
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+    def test_a_sidecar_is_never_written_for_a_malformed_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("entity_id,snapshot_id,region,label,f_a\ne,0,r,GOOD,1\ne,1,r,NOPE,2\n")
+        with pytest.raises(ValueError) as want:
+            parse_csv(path)
+        with pytest.raises(ValueError) as got:
+            read_dataset(path)
+        assert str(got.value) == str(want.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
+        with pytest.raises(OSError):
+            read_dataset(tmp_path / "absent.csv")
+
+    def test_each_read_logs_where_its_time_went(self, tmp_path, caplog):
+        path = tmp_path / "d.csv"
+        write_csv(toy_dataset(), path)
+        key = hashlib.sha256(path.read_bytes()).hexdigest()
+        with caplog.at_level(logging.INFO, logger="fortress.data"):
+            read_dataset(path)
+            read_dataset(path)
+        lines = [r.getMessage() for r in caplog.records]
+        assert re.fullmatch(rf"parsed {re.escape(str(path))} in \d+\.\d ms; sidecar written", lines[-2])
+        assert re.fullmatch(
+            rf"read {re.escape(str(path))} from its sidecar \(sha256 {key[:12]}\) in \d+\.\d ms",
+            lines[-1])
 
 
 class TestViewsAndStats:
