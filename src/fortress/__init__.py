@@ -13,10 +13,7 @@ from __future__ import annotations
 from fortress.data import (
     Label,
     PartitionAssignment,
-    Sample,
     SnapshotDataset,
-    coverage_stats,
-    entity_series,
     latest_snapshot_view,
     parse_csv,
     partition_entities,
@@ -91,7 +88,6 @@ __all__ = [
     "PlantedTruth",
     "PruneIteration",
     "PruneTrace",
-    "Sample",
     "SnapshotDataset",
     "StabilityReport",
     "SynthConfig",
@@ -100,10 +96,8 @@ __all__ = [
     "bootstrap_ci",
     "bootstrap_pr_auc_ci",
     "build_stability_report",
-    "coverage_stats",
     "cv",
     "deserialize",
-    "entity_series",
     "evaluate_model",
     "experiment_table",
     "flip_flop_rate",

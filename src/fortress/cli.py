@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -62,6 +61,7 @@ from fortress.model import (
     TrainConfig,
     TrainMatrix,
     dumps_canonical,
+    load_json,
     load_model,
     mask_from_names,
     save_model,
@@ -93,10 +93,7 @@ _RUN_CONFIG_SECTIONS = {"seed", "synth", "train", "pipeline", "eval"}
 
 
 def _read_json_file(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return doc

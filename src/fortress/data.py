@@ -117,20 +117,6 @@ _CACHE_HEADER = b"fortress-cache 1 "
 _HASH_BLOCK = 1 << 16
 
 
-@dataclass
-class Sample:
-    """One (entity, snapshot) row with features as a name -> value mapping.
-
-    Missing feature values are represented as ``None``.
-    """
-
-    entity_id: str
-    snapshot_id: str
-    region: str
-    label: Label
-    features: dict[str, float | None]
-
-
 @dataclass(eq=False)
 class SnapshotDataset:
     """Immutable columnar dataset in canonical (entity, snapshot) order.
@@ -577,11 +563,19 @@ def _screen_rows(
 
 def _records(path: Path, reader) -> Iterator[list[str]]:
     """The records of a ``csv.reader``, its ``csv.Error`` (such as a field
-    over the field size limit) raised as a ``ValueError`` with the line."""
+    over the field size limit) raised as a ``ValueError`` with the line, and
+    a byte that is not UTF-8 as one with the file."""
     try:
         yield from reader
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # decoded a block at a time, so neither the line nor the position
+        # in the block locates the byte in the file
+        raise ValueError(
+            f"{path}: not UTF-8 text: can't decode byte 0x{exc.object[exc.start]:02x} "
+            f"({exc.reason})"
+        ) from None
 
 
 class _HashingReader(io.RawIOBase):
@@ -631,7 +625,7 @@ def parse_csv(path: str | Path, *, digest=None) -> SnapshotDataset:
             unparseable feature value (with the record's line number),
             a record the CSV reader rejects (with its line), duplicate
             (entity, snapshot) pair, inconsistent label, mixed snapshot
-            kinds.
+            kinds, a byte that is not UTF-8.
         OSError: if the file cannot be read.
     """
     path = Path(path)
@@ -879,33 +873,6 @@ def write_csv(dataset: SnapshotDataset, path: str | Path) -> None:
             ]))
 
 
-def entity_series(dataset: SnapshotDataset, entity_id: str) -> list[Sample]:
-    """All samples of one entity in ascending snapshot order."""
-    start, stop = dataset.entity_rows(entity_id)
-    out: list[Sample] = []
-    for i in range(start, stop):
-        features = {
-            name: (None if math.isnan(dataset.X[i, j]) else float(dataset.X[i, j]))
-            for j, name in enumerate(dataset.schema)
-        }
-        out.append(
-            Sample(
-                entity_id=str(dataset.entity_ids[i]),
-                snapshot_id=str(dataset.snapshot_ids[i]),
-                region=str(dataset.regions[i]),
-                label=Label(int(dataset.labels[i])),
-                features=features,
-            )
-        )
-    return out
-
-
-def iter_entity_blocks(dataset: SnapshotDataset) -> Iterator[tuple[str, int, int]]:
-    """Yield (entity_id, start, stop) for each entity block in canonical order."""
-    for e, (start, stop) in dataset.index.items():
-        yield e, start, stop
-
-
 def latest_snapshot_view(dataset: SnapshotDataset) -> SnapshotDataset:
     """Keep only each entity's most recent snapshot row.
 
@@ -913,7 +880,7 @@ def latest_snapshot_view(dataset: SnapshotDataset) -> SnapshotDataset:
     """
     if dataset.n_rows == 0:
         return dataset
-    keep = np.array([stop - 1 for _, _, stop in iter_entity_blocks(dataset)], dtype=np.int64)
+    keep = np.array([stop - 1 for _, stop in dataset.index.values()], dtype=np.int64)
     return build_dataset(
         dataset.schema,
         dataset.snapshot_kind,
@@ -925,27 +892,3 @@ def latest_snapshot_view(dataset: SnapshotDataset) -> SnapshotDataset:
         sort=False,
         validate=False,
     )
-
-
-def coverage_stats(dataset: SnapshotDataset) -> dict:
-    """Per-feature presence fractions and the entity-level label distribution."""
-    n = dataset.n_rows
-    present = np.zeros(dataset.n_features, dtype=np.int64)
-    if n:
-        present = np.sum(~np.isnan(dataset.X), axis=0)
-    coverage = {
-        name: (float(present[j] / n) if n else 0.0)
-        for j, name in enumerate(dataset.schema)
-    }
-    label_counts = {name: 0 for name in LABEL_NAMES}
-    for e, start, _ in iter_entity_blocks(dataset):
-        label_counts[Label(int(dataset.labels[start])).name] += 1
-    n_ent = max(1, len(dataset.entities)) if n else 1
-    distribution = {name: label_counts[name] / n_ent if n else 0.0 for name in LABEL_NAMES}
-    return {
-        "n_rows": n,
-        "n_entities": len(dataset.entities) if n else 0,
-        "n_snapshots": len(set(map(str, dataset.snapshot_ids))) if n else 0,
-        "feature_coverage": coverage,
-        "label_distribution": distribution,
-    }

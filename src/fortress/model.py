@@ -354,8 +354,8 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
 
 
 def _node_sums(g: np.ndarray, h: np.ndarray, rows: np.ndarray) -> tuple[float, float]:
-    # Sequential (cumsum-order) sums so that both kernel backends and the
-    # python driver agree bit for bit.
+    # Sequential (cumsum-order) sums, as the split kernel takes its prefix
+    # sums.
     return float(np.cumsum(g[rows])[-1]), float(np.cumsum(h[rows])[-1])
 
 
@@ -451,6 +451,8 @@ class _SplitHelper:
         vals_sorted, sort_rows, offsets = presort
         while msg := os.read(req, _REQUEST.size):
             g_total, h_total, lam, gamma, min_h, count = _REQUEST.unpack(msg)
+            # the kernel itself, not K.best_split: a wrapper patched onto
+            # that name (a test's fault injection) must not run in the child
             result = K.best_split_numpy(
                 vals_sorted, sort_rows, offsets, self._in_node, self.g, self.h,
                 g_total, h_total, self._active[:count], lam, gamma, min_h,
@@ -525,11 +527,11 @@ def train(
             :func:`_reusable_prefix`). The result is the fresh train's model
             either way; only the work done differs.
 
-    With trees left to grow, the numpy kernels, and more than one CPU
-    allowed by ``_fork.worker_count`` (so not inside a candidate worker,
-    with other threads running, or with one CPU), the split search of
-    every node is shared with one forked :class:`_SplitHelper`, which
-    takes every other active feature. The model is the serial search's,
+    With trees left to grow and more than one CPU allowed by
+    ``_fork.worker_count`` (so not inside a candidate worker, with other
+    threads running, or with one CPU), the split search of every node is
+    shared with one forked :class:`_SplitHelper`, which takes every other
+    active feature. The model is the serial search's,
     byte for byte, and the helper is reaped before this returns or raises.
 
     Raises:
@@ -592,14 +594,8 @@ def train(
     for tree in prefix:
         margins = margins + _tree_margin(tree, tm.X)
 
-    # the numba kernels keep the serial search: no test covers a helper there
     helper = None
-    if (
-        len(prefix) < config.rounds
-        and active_all.size > 1
-        and not K.USE_NUMBA
-        and _fork.worker_count() > 1
-    ):
+    if len(prefix) < config.rounds and active_all.size > 1 and _fork.worker_count() > 1:
         try:
             helper = _SplitHelper(tm.presort, n, d)
         except OSError:  # no process to spare after all: search serially
@@ -810,12 +806,19 @@ def save_model(model: BoostedModel, path: str | Path) -> None:
     Path(path).write_text(dumps_canonical(serialize(model)), encoding="utf-8")
 
 
-def load_model(path: str | Path) -> BoostedModel:
+def load_json(path: str | Path):
+    """The JSON document in the file at ``path``; ``ValueError`` naming the
+    file when it is not UTF-8 text or not JSON."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    return deserialize(doc)
+
+
+def load_model(path: str | Path) -> BoostedModel:
+    return deserialize(load_json(path))
 
 
 def dumps_canonical(doc: dict) -> str:

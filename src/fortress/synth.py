@@ -55,7 +55,7 @@ class SynthConfig(Config):
             raise ValueError(f"n_entities must be >= 1, got {self.n_entities}")
         if self.snapshots < 1:
             raise ValueError(f"snapshots must be >= 1, got {self.snapshots}")
-        for name in ("k_sr", "k_eng_info", "k_eng_noise", "sigma_sr", "sigma_eng"):
+        for name in ("seed", "k_sr", "k_eng_info", "k_eng_noise", "sigma_sr", "sigma_eng"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.k_sr + self.k_eng_info + self.k_eng_noise < 1:

@@ -1,4 +1,5 @@
-"""Independent reference implementations used to cross-check the metrics.
+"""Independent reference implementations used to cross-check the metrics and
+the kernels.
 
 Everything here is written for obviousness, not speed: the average-precision
 reference walks the full precision-recall curve threshold by threshold in
@@ -140,6 +141,28 @@ def reference_best_split(
                 best_threshold = float(threshold)
                 best_default_left = bool(default_left)
     return best_gain, best_feature, best_threshold, best_default_left
+
+
+def reference_predict_margin(X, feat, thr, dleft, left, right, wt, roots, base) -> np.ndarray:
+    """Ensemble margins as a scalar walk per row and per tree.
+
+    Same arguments and result as ``fortress._kernels.predict_margin_numpy``:
+    each row starts at ``base`` and adds, tree by tree, the weight of the
+    leaf it reaches. A missing value takes the node's default direction and a
+    present value goes left only when it is strictly below the threshold.
+    """
+    out = np.empty(len(X), dtype=np.float64)
+    for i, row in enumerate(X):
+        margin = base
+        for root in roots:
+            idx = root
+            while feat[idx] >= 0:
+                x = row[feat[idx]]
+                go_left = dleft[idx] if math.isnan(x) else x < thr[idx]
+                idx = left[idx] if go_left else right[idx]
+            margin += wt[idx]
+        out[i] = margin
+    return out
 
 
 def reference_bootstrap_rows(seed: int, start: int, count: int, bound: int, size: int) -> np.ndarray:

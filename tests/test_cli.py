@@ -327,6 +327,15 @@ class TestSeedPrecedence:
     def test_default_is_42(self, tmp_path, monkeypatch, clean_env):
         assert self._gen_seed(tmp_path, [], monkeypatch=monkeypatch) == 42
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_a_negative_synth_seed_is_refused_by_name(self, tmp_path, capsys, clean_env, where):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": -2} if where == "config" else {}))
+        argv = ["gen", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]
+        code = main(argv + (["--seed", "-2"] if where == "flag" else []))
+        assert code == 1
+        assert capsys.readouterr().err == "fortress: error: seed must be >= 0, got -2\n"
+
     def test_invalid_env_seed_is_an_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FORTRESS_SEED", "not-a-number")
         cfg = tmp_path / "c.json"
@@ -364,6 +373,20 @@ class TestErrorHandling:
             f"fortress: error: {bad}: line 2: field larger than field limit ({csv.field_size_limit()})\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--partition", "--model", "--data", "report"])
+    def test_a_non_utf8_input_is_named(self, workspace, tmp_path, capsys, clean_env, flag):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe")
+        inputs = {"--config": workspace / "run.json", "--partition": workspace / "part.json",
+                  "--model": workspace / "pruned.json", "--data": workspace / "data.csv"}
+        inputs[flag] = bad
+        argv = ["eval", "--out", str(tmp_path / "e.json")]
+        for name, path in inputs.items():
+            argv += [name, str(path)]
+        code = main(["report", str(bad)] if flag == "report" else argv)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"fortress: error: {bad}: not UTF-8 text: ")
 
     def test_unknown_config_section_exits_1(self, tmp_path, capsys, clean_env):
         cfg = tmp_path / "c.json"
@@ -412,6 +435,8 @@ class TestErrorHandling:
             f"fortress: worker error: the worker retraining candidate {ranked[1]} exited with status 3\n"
         )
         assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # nor a split helper
+            os.waitpid(-1, os.WNOHANG)
         assert not out.exists()
 
     def test_deserialize_refusal_ends_eval_with_exit_1(self, workspace, tmp_path, capsys):

@@ -69,6 +69,7 @@ def test_bad_value_in_any_field_is_refused_by_name(cls, name, value):
          "fractions must be a number, got '0.7'"),
         (PipelineConfig, {"fractions": 5}, "fractions must have exactly 3 entries"),
         (EvalConfig, {"level": math.nan}, "level must be in (0, 1), got nan"),
+        (SynthConfig, {"seed": -2}, "seed must be >= 0, got -2"),
     ],
 )
 def test_messages(cls, kwargs, message):

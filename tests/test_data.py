@@ -32,10 +32,7 @@ from fortress.data import (
     TEST,
     PARTS,
     build_dataset,
-    coverage_stats,
-    entity_series,
     fnv1a64,
-    iter_entity_blocks,
     latest_snapshot_view,
     parse_csv,
     partition_entities,
@@ -450,6 +447,18 @@ class TestCsv:
             f"{path}: line {line}: field larger than field limit ({csv.field_size_limit()})"
         )
 
+    @pytest.mark.parametrize("digest", [None, "sha256"], ids=["plain", "hashing"])
+    @pytest.mark.parametrize("good", [0, 2000], ids=["header", "past-first-block"])
+    def test_a_non_utf8_byte_is_a_value_error_with_the_file(self, tmp_path, digest, good):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(
+            b"entity_id,snapshot_id,region,label,f_a\n" * (good > 0)
+            + b"".join(b"e,%d,r,GOOD,1.0\n" % i for i in range(good)) + b"\xff\xfe\n"
+        )
+        with pytest.raises(ValueError) as exc:
+            parse_csv(path, digest=digest and hashlib.new(digest))
+        assert str(exc.value) == f"{path}: not UTF-8 text: can't decode byte 0xff (invalid start byte)"
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             parse_csv(tmp_path / "absent.csv")
@@ -794,16 +803,10 @@ class TestReadDataset:
 
 
 class TestViewsAndStats:
-    def test_entity_series(self):
-        series = entity_series(toy_dataset(), "e2")
-        assert [s.snapshot_id for s in series] == ["0", "1"]
-        assert series[0].features == {"f_sr_0": None, "f_eng_0": 4.0}
-        assert series[0].label is Label.BAD
-        assert series[0].region == "eu"
-
     def test_iter_entity_blocks(self):
-        assert list(iter_entity_blocks(toy_dataset())) == [
-            ("e1", 0, 3), ("e2", 3, 5), ("e3", 5, 6),
+        # each entity's (start, stop) rows, in canonical entity order
+        assert list(toy_dataset().index.items()) == [
+            ("e1", (0, 3)), ("e2", (3, 5)), ("e3", (5, 6)),
         ]
 
     @given(st.lists(st.sampled_from(["e1", "e2", "e3"]), max_size=8))
@@ -832,16 +835,6 @@ class TestViewsAndStats:
         assert view.entity_ids.tolist() == ["e1", "e2", "e3"]
         assert view.X[:, 1].tolist() == [3.0, 5.0, 6.0]
         assert latest_snapshot_view(view) == view
-
-    def test_coverage_stats(self):
-        stats = coverage_stats(toy_dataset())
-        assert stats["n_rows"] == 6
-        assert stats["n_entities"] == 3
-        assert stats["n_snapshots"] == 3
-        assert stats["feature_coverage"]["f_eng_0"] == 1.0
-        assert stats["feature_coverage"]["f_sr_0"] == pytest.approx(4 / 6)
-        assert stats["label_distribution"]["BAD"] == pytest.approx(1 / 3)
-        assert stats["label_distribution"]["GOOD"] == pytest.approx(1 / 3)
 
     def test_label_polarity(self):
         assert not Label.BAD.is_positive

@@ -1,13 +1,7 @@
-"""Kernel checks: the numpy split search equals a sequential reference bit for
-bit, and the numba kernels and the numpy fallbacks agree bitwise."""
+"""Kernel checks: the split search and the ensemble margins equal the scalar
+references of ``tests/oracles.py`` bit for bit."""
 
 from __future__ import annotations
-
-import json
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -20,13 +14,9 @@ from fortress.model import (
     TrainMatrix,
     _first_best,
     _node_sums,
-    dumps_canonical,
-    serialize,
     train,
 )
-from oracles import reference_best_split
-
-needs_numba = pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
+from oracles import reference_best_split, reference_predict_margin
 
 
 def _random_problem(rng, n=80, d=6, missing=0.0):
@@ -160,81 +150,27 @@ class TestSplitHalves:
         assert _split_bits(_first_best(even, odd)) == _split_bits(K.best_split_numpy(*args))
 
 
-@needs_numba
-class TestSplitSearchParity:
-    def test_bitwise_equal_on_random_nodes(self, rng):
-        for _ in range(40):
-            args = _split_inputs(rng)
-            got_nb = K.best_split_numba(*args)
-            got_np = K.best_split_numpy(*args)
-            assert got_nb[0] == got_np[0]  # gain, including -inf
-            assert got_nb[1] == got_np[1]  # feature index
-            assert (got_nb[2] == got_np[2]) or (
-                np.isnan(got_nb[2]) and np.isnan(got_np[2])
-            )
-            assert got_nb[3] == got_np[3]  # default direction
+class TestPredictOracle:
+    """``predict_margin_numpy`` against the scalar walk of ``tests/oracles.py``."""
 
-    def test_no_candidate_returns_sentinel(self, rng):
-        args = list(_split_inputs(rng, n=8))
-        args[3] = np.zeros_like(args[3])  # empty node
-        for fn in (K.best_split_numba, K.best_split_numpy):
-            gain, feature, threshold, default_left = fn(*args)
-            assert gain == float("-inf")
-            assert feature == -1
-            assert np.isnan(threshold)
-            assert default_left is False or default_left == 0
-
-
-@needs_numba
-class TestPredictParity:
-    def test_bitwise_equal_margins(self, rng):
+    @pytest.mark.parametrize("missing", [0.0, 0.3], ids=["dense", "nan-cells"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_scalar_walk(self, seed, missing):
+        rng = np.random.default_rng(seed)
         X, y = _random_problem(rng, n=150, d=7, missing=0.25)
-        model = train(X, y, TrainConfig(rounds=12, max_depth=3))
-        feat, thr, dl, left, right, wt, roots = model._ensure_arena()
-        Xq = rng.random((40, 7))
-        Xq[rng.random((40, 7)) < 0.3] = np.nan
-        m_nb = K.predict_margin_numba(Xq, feat, thr, dl, left, right, wt, roots, model.base_score)
-        m_np = K.predict_margin_numpy(Xq, feat, thr, dl, left, right, wt, roots, model.base_score)
-        assert np.array_equal(m_nb, m_np)
-
-
-class TestBackendSelection:
-    def test_backend_name_reports_active_backend(self):
-        assert K.backend_name() in ("numba", "numpy")
-        assert (K.backend_name() == "numba") == K.USE_NUMBA
-
-    @needs_numba
-    def test_env_flag_trains_byte_identical_model(self, rng, tmp_path):
-        """The headline dual-route check: a model trained under the numpy
-        fallback (selected via FORTRESS_DISABLE_NUMBA in a subprocess)
-        serializes byte-identically to one trained with numba in-process."""
-        X, y = _random_problem(rng, n=400, d=8, missing=0.2)
-        np.save(tmp_path / "X.npy", X)
-        np.save(tmp_path / "y.npy", y)
-        cfg = TrainConfig(rounds=25, max_depth=4, row_subsample=0.8, col_subsample=0.8, seed=7)
-
-        assert K.USE_NUMBA, "test requires the in-process backend to be numba"
-        here = serialize(train(X, y, cfg))
-
-        script = textwrap.dedent(
-            """
-            import json, sys
-            import numpy as np
-            from fortress import _kernels
-            from fortress.model import TrainConfig, serialize, train
-
-            assert _kernels.backend_name() == "numpy", _kernels.backend_name()
-            X = np.load(sys.argv[1])
-            y = np.load(sys.argv[2])
-            cfg = TrainConfig(rounds=25, max_depth=4, row_subsample=0.8,
-                              col_subsample=0.8, seed=7)
-            print(json.dumps(serialize(train(X, y, cfg))))
-            """
-        )
-        env = dict(os.environ, FORTRESS_DISABLE_NUMBA="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "X.npy"), str(tmp_path / "y.npy")],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        there = json.loads(proc.stdout)
-        assert dumps_canonical(there) == dumps_canonical(here)
+        model = train(X, y, TrainConfig(rounds=12, max_depth=3, seed=seed))
+        arena = model._ensure_arena()
+        feat, thr, roots = arena[0], arena[1], arena[6]
+        Xq = rng.random((60, 7))
+        Xq[rng.random((60, 7)) < missing] = np.nan
+        # cells exactly at a split threshold, where a present value goes
+        # right; the last one of each row is at a root's split, which every
+        # walk reaches
+        internal = np.flatnonzero(feat >= 0)
+        split_roots = roots[feat[roots] >= 0]
+        for i in range(40):
+            for node in (*rng.choice(internal, size=3), split_roots[i % split_roots.size]):
+                Xq[i, feat[node]] = thr[node]
+        got = K.predict_margin_numpy(Xq, *arena, model.base_score)
+        want = reference_predict_margin(Xq, *arena, model.base_score)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]

@@ -365,10 +365,18 @@ def _at_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def _assert_no_child():
+    """No worker is left, and no other child either: the split helper of
+    ``model.train`` is forked without ``multiprocessing``."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _at_workers(monkeypatch, n, run):
     _at_cpus(monkeypatch, n)
     out = run()
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     return out
 
 
@@ -437,7 +445,7 @@ class TestCandidateWorkers:
             caplog.clear()
             with pytest.raises(ValueError, match="bootstrap failed at candidate 2$"):
                 _at_workers(monkeypatch, n, lambda: fortress_run(dataset, self.CFG))
-            assert multiprocessing.active_children() == []
+            _assert_no_child()
             committed = [r.getMessage().split()[1] for r in caplog.records
                          if r.getMessage().startswith("prune ")]
             assert committed == ["1/8", "2/8"]
