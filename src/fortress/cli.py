@@ -29,9 +29,9 @@ Conventions shared by all subcommands:
 * Commands that consume a seed write the fully-resolved configuration next
   to their output as ``<out>.config.json``; artifacts contain no timestamps,
   so a rerun with equal inputs is byte-identical.
-* Where a partition is needed, ``--partition FILE`` loads one, otherwise
-  ``--part`` selects a split computed on the fly from ``--salt`` and
-  ``--fractions`` (``--part all`` means no partitioning).
+* ``--partition FILE`` loads a partition, else ``--part`` picks a split made
+  from ``--salt`` and ``--fractions``; with neither, or with ``--part all``,
+  every row is used. Both split flags are refused where no split is made.
 """
 
 from __future__ import annotations
@@ -229,14 +229,23 @@ class _Scope:
         return partition_entities(dataset, self.fractions, self.salt)
 
 
+def _refuse_split_flags(args: argparse.Namespace, why: str) -> None:
+    """Refuse ``--salt`` and ``--fractions`` where no split is made from them."""
+    for flag in ("--salt", "--fractions"):
+        if getattr(args, flag[2:], None):
+            raise ValueError(f"{flag} {why}")
+
+
 def _scope(args: argparse.Namespace, default_part: str) -> _Scope:
     part = getattr(args, "part", None)
     if getattr(args, "partition", None):
         if part == "all":
             raise ValueError("--part all cannot be combined with --partition")
+        _refuse_split_flags(args, "cannot be combined with --partition")
         # flag values are lowercase; partition names are canonical uppercase
         return _Scope((part or default_part).upper(), partition=_load_partition(args.partition))
     if part is None or part == "all":
+        _refuse_split_flags(args, "needs --part train, val or test")
         return _Scope("all")
     salt = getattr(args, "salt", None) or DEFAULT_SALT
     return _Scope(part.upper(), fractions=_fractions(args), salt=salt)
@@ -334,6 +343,8 @@ def _cmd_stability(args: argparse.Namespace) -> None:
 
 
 def _cmd_prune(args: argparse.Namespace) -> None:
+    if args.partition:
+        _refuse_split_flags(args, "cannot be combined with --partition")
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
     cfg = _pipeline_config(config, seed, args)

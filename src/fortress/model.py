@@ -409,15 +409,15 @@ def _first_best(a: tuple, b: tuple) -> tuple:
     return b if b[0] > a[0] or (b[0] == a[0] and b[1] < a[1]) else a
 
 
-class _SplitHelper:
+class _SplitHelper(_fork.Child):
     """A forked process that runs the split search over every other active
     feature of a node while this process runs it over the rest.
 
     The helper inherits the presort. The gradients, the hessians, the node
     mask and the helper's active features live in an anonymous shared
-    mapping; each node costs one fixed-size request and one reply on raw
-    pipes. :meth:`close` ends and reaps the helper; a helper that died
-    raises ``ChildProcessError`` rather than leaving the search waiting.
+    mapping; each node costs one fixed-size request and one reply on the
+    child's pipes. :meth:`close` kills and reaps the helper; a helper that
+    died raises ``ChildProcessError`` rather than leaving the search waiting.
     """
 
     def __init__(self, presort: tuple[np.ndarray, ...], n: int, d: int) -> None:
@@ -426,30 +426,12 @@ class _SplitHelper:
         self.h = np.frombuffer(shared, np.float64, n, 8 * n)
         self._active = np.frombuffer(shared, np.int64, d, 16 * n)
         self._in_node = np.frombuffer(shared, np.bool_, n, 16 * n + 8 * d)
-        req_read, self._req = os.pipe()
-        self._rep, rep_write = os.pipe()
-        try:
-            self.pid: int | None = os.fork()
-        except OSError:
-            for fd in (req_read, self._req, self._rep, rep_write):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self._req)
-                os.close(self._rep)
-                self._serve(presort, req_read, rep_write)
-                code = 0
-            finally:
-                # no atexit handler, no flush of stdio inherited from the parent
-                os._exit(code)
-        os.close(req_read)
-        os.close(rep_write)
+        self._presort = presort
+        super().__init__()
 
-    def _serve(self, presort: tuple[np.ndarray, ...], req: int, rep: int) -> None:
-        vals_sorted, sort_rows, offsets = presort
-        while msg := os.read(req, _REQUEST.size):
+    def serve(self, requests: int, replies: int) -> None:
+        vals_sorted, sort_rows, offsets = self._presort
+        while msg := os.read(requests, _REQUEST.size):
             g_total, h_total, lam, gamma, min_h, count = _REQUEST.unpack(msg)
             # the kernel itself, not K.best_split: a wrapper patched onto
             # that name (a test's fault injection) must not run in the child
@@ -457,50 +439,30 @@ class _SplitHelper:
                 vals_sorted, sort_rows, offsets, self._in_node, self.g, self.h,
                 g_total, h_total, self._active[:count], lam, gamma, min_h,
             )
-            os.write(rep, _REPLY.pack(*result))
-
-    def load(self, g: np.ndarray, h: np.ndarray) -> None:
-        """Hand the round's gradients and hessians to the helper."""
-        self.g[:] = g
-        self.h[:] = h
+            os.write(replies, _REPLY.pack(*result))
 
     def best_split(self, vals_sorted, sort_rows, offsets, in_node, g, h,
                    g_total, h_total, active, lam, gamma, min_h):
-        """``K.best_split`` over ``active``, with ``g`` and ``h`` as last
-        :meth:`load`-ed: the helper takes ``active[1::2]``."""
+        """``K.best_split`` over ``active``, with the round's ``g`` and
+        ``h`` copied into the helper's: it takes ``active[1::2]``."""
         theirs = active[1::2]
         if theirs.size:
             self._in_node[:] = in_node
             self._active[:theirs.size] = theirs
             request = _REQUEST.pack(g_total, h_total, lam, gamma, min_h, theirs.size)
             try:
-                os.write(self._req, request)
+                os.write(self.requests, request)
             except BrokenPipeError:
-                raise self._died() from None
+                raise self.died("the split helper") from None
         # looked up now, so a wrapper of the kernel sees this half
         mine = K.best_split(vals_sorted, sort_rows, offsets, in_node, g, h,
                             g_total, h_total, active[0::2], lam, gamma, min_h)
         if not theirs.size:
             return mine
-        reply = os.read(self._rep, _REPLY.size)
+        reply = os.read(self.replies, _REPLY.size)
         if not reply:
-            raise self._died()
+            raise self.died("the split helper")
         return _first_best(mine, _REPLY.unpack(reply))
-
-    def _died(self) -> ChildProcessError:
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        how = _fork.exit_description(os.waitstatus_to_exitcode(status))
-        return ChildProcessError(f"the split helper {how}")
-
-    def close(self) -> None:
-        """End the helper (it sees end of file on its request pipe) and
-        reap it."""
-        os.close(self._req)
-        os.close(self._rep)
-        if self.pid is not None:
-            os.waitpid(self.pid, 0)
-            self.pid = None
 
 
 def train(
@@ -528,11 +490,12 @@ def train(
             either way; only the work done differs.
 
     With trees left to grow and more than one CPU allowed by
-    ``_fork.worker_count`` (so not inside a candidate worker, with other
-    threads running, or with one CPU), the split search of every node is
-    shared with one forked :class:`_SplitHelper`, which takes every other
-    active feature. The model is the serial search's,
-    byte for byte, and the helper is reaped before this returns or raises.
+    ``_fork.worker_count`` (so not inside a ``_fork.Child`` such as a
+    candidate worker, with other threads running, or with one CPU), the
+    split search of every node is shared with one forked
+    :class:`_SplitHelper`, which takes every other active feature. The model
+    is the serial search's, byte for byte, and the helper is reaped before
+    this returns or raises.
 
     Raises:
         ValueError: on shape problems, a single-class label vector, or an
@@ -605,8 +568,8 @@ def train(
             p = _sigmoid(margins)
             g = p - tm.y
             h = p * (1.0 - p)
-            if helper is not None:
-                helper.load(g, h)
+            if helper is not None:  # the round's gradients, for the helper
+                helper.g[:], helper.h[:] = g, h
 
             root_mask = np.ones(n, dtype=np.bool_)
             active = active_all

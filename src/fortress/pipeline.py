@@ -30,11 +30,11 @@ candidate is left. The gate still commits strictly in candidate order. An
 acceptance drops the results computed against the old model, classifies the
 remaining candidates again, and restarts from the next candidate, so every
 artifact is byte-identical to a serial pass. Where ``_fork.worker_count``
-allows no second process (one CPU, no ``fork``, a daemonic process, other
-threads running), the pass runs serially in the calling process. The same
-rule lets ``model.train`` share each split search with a forked helper, so a
-train in this process uses a spare CPU while a candidate worker, which is
-daemonic, trains serially.
+allows no second process (one CPU, no ``fork``, a forked child or a daemonic
+process, other threads running), the pass runs serially in the calling
+process. The same rule lets ``model.train`` share each split search with a
+forked helper, so a train in this process uses a spare CPU while a
+candidate worker, itself a ``_fork.Child``, trains serially.
 
 ``experiment_table`` reruns the surrounding comparisons (single-snapshot and
 multi-snapshot trainings, full and stable-only feature sets) and evaluates
@@ -46,6 +46,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import logging
+import os
+import pickle
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -264,87 +266,75 @@ def _in_candidate_order(
     """Yield an iterator of ``evaluate(i)`` for ``i`` in ``indices``, in order.
 
     Where ``_fork.worker_count`` allows more than one worker, the
-    evaluations run ahead on forked worker processes, which inherit
-    ``evaluate`` and its state instead of receiving it pickled; only the
-    index goes in and the result comes back. This process starts no thread
-    for them: it hands the next index to whichever worker is idle while it
-    waits for the result it needs. A worker that dies raises
+    evaluations run ahead on forked :class:`_Worker` processes, which
+    inherit ``evaluate`` and its state instead of receiving it pickled; only
+    the index goes in and the result comes back. This process starts no
+    thread for them: it hands the next index to whichever worker is idle
+    while it waits for the result it needs. A worker that dies raises
     ``ChildProcessError`` naming ``names[i]`` of its index. Leaving the block
-    terminates the workers, dropping the evaluations still in flight.
+    kills the workers, dropping the evaluations still in flight.
     Otherwise the same results come from ``map`` in this process.
     """
-    workers = min(_fork.worker_count(), len(indices))
-    if workers < 2:
+    count = min(_fork.worker_count(), len(indices))
+    if count < 2:
         yield map(evaluate, indices)
         return
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    procs, conns = [], []
-    try:
-        for _ in range(workers):
-            conn, child_conn = ctx.Pipe()
-            conns.append(conn)
-            procs.append(ctx.Process(target=_serve, args=(evaluate, child_conn), daemon=True))
-            procs[-1].start()
-            child_conn.close()
-        yield _dispatch(dict(zip(conns, procs)), indices, names)
-    finally:
-        for p in procs:
-            p.terminate()
-        for p in procs:
-            p.join()
-        for conn in conns:
-            conn.close()
+    with contextlib.ExitStack() as stack:
+        workers = [stack.enter_context(contextlib.closing(_Worker(evaluate)))
+                   for _ in range(count)]
+        yield _dispatch(workers, indices, names)
 
 
-def _serve(evaluate: Callable[[int], Any], conn) -> None:
-    """Worker loop: answer each index with ``(True, result)`` or
-    ``(False, exception)`` until the other end closes."""
-    while True:
-        try:
-            i = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = (True, evaluate(i))
-        except Exception as exc:
-            reply = (False, exc)
-        conn.send(reply)
+class _Worker(_fork.Child):
+    """A forked process that answers each 8-byte candidate index ``i`` with
+    the pickle of ``(True, evaluate(i))`` or ``(False, the exception)``."""
+
+    def __init__(self, evaluate: Callable[[int], Any]) -> None:
+        self._evaluate = evaluate
+        super().__init__()
+        self.reader = open(self.replies, "rb", closefd=False)
+
+    def serve(self, requests: int, replies: int) -> None:
+        with open(replies, "wb", closefd=False) as out:
+            while msg := os.read(requests, 8):
+                try:
+                    reply = (True, self._evaluate(int.from_bytes(msg, "little")))
+                except Exception as exc:
+                    reply = (False, exc)
+                out.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+                out.flush()
 
 
-def _dispatch(workers: dict, indices: Sequence[int], names: Sequence[str]) -> Iterator[Any]:
-    """Results for ``indices`` in order, from ``workers`` (connection ->
-    process) fed one index at a time."""
-    from multiprocessing.connection import wait
-
-    def lost(conn, i: int) -> ChildProcessError:
-        proc = workers[conn]
-        proc.join()
-        how = _fork.exit_description(proc.exitcode)
-        return ChildProcessError(f"the worker retraining candidate {names[i]} {how}")
-
+def _dispatch(workers: list[_Worker], indices: Sequence[int], names: Sequence[str]) -> Iterator[Any]:
+    """Results for ``indices`` in order, from ``workers`` fed one index at
+    a time."""
+    import select  # here, so that a process that never forks workers skips it
     todo = iter(indices)
-    busy: dict = {}  # connection -> the index its worker is evaluating
+    busy: dict[int, tuple[_Worker, int]] = {}  # reply pipe -> worker, its index
     done: dict[int, tuple[bool, Any]] = {}
-    for conn, i in zip(workers, todo):
-        conn.send(i)
-        busy[conn] = i
+
+    def lost(worker: _Worker, i: int) -> ChildProcessError:
+        return worker.died(f"the worker retraining candidate {names[i]}")
+
+    def send(worker: _Worker, i: int) -> None:
+        try:
+            os.write(worker.requests, i.to_bytes(8, "little"))
+        except BrokenPipeError:
+            raise lost(worker, i) from None
+        busy[worker.replies] = worker, i
+
+    for worker, i in zip(workers, todo):
+        send(worker, i)
     for i in indices:
         while i not in done:
-            for conn in wait(list(busy)):
-                j = busy.pop(conn)
+            for fd in select.select(list(busy), [], [])[0]:
+                worker, j = busy.pop(fd)
                 try:
-                    done[j] = conn.recv()
-                except EOFError:
-                    raise lost(conn, j) from None
-                nxt = next(todo, None)
-                if nxt is not None:
-                    try:
-                        conn.send(nxt)
-                    except BrokenPipeError:
-                        raise lost(conn, nxt) from None
-                    busy[conn] = nxt
+                    done[j] = pickle.load(worker.reader)
+                except (EOFError, pickle.UnpicklingError):
+                    raise lost(worker, j) from None
+                if (nxt := next(todo, None)) is not None:
+                    send(worker, nxt)
         ok, value = done.pop(i)
         if not ok:
             raise value

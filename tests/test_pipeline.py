@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,9 +370,8 @@ def _at_cpus(monkeypatch, n):
 
 
 def _assert_no_child():
-    """No worker is left, and no other child either: the split helper of
-    ``model.train`` is forked without ``multiprocessing``."""
-    assert multiprocessing.active_children() == []
+    """No candidate worker, split helper or other child is left, reaped or
+    not."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -387,9 +390,7 @@ def _in_daemon(queue, dataset):
         queue.put(repr(exc))
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
-)
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 class TestCandidateWorkers:
     """Candidates evaluated ahead on worker processes commit exactly as the
     serial loop does."""
@@ -464,14 +465,15 @@ class TestCandidateWorkers:
         assert got == _at_workers(monkeypatch, 1, lambda: _artifacts(fortress_run(dataset, FAST)))
 
     def test_other_threads_keep_the_pass_serial(self, monkeypatch):
-        # forking now would copy locks the other thread may hold
+        # forking now would copy locks the other thread may hold, so neither
+        # a candidate worker nor a split helper may start
         dataset, _ = generate(SMALL_SYNTH)
         serial = _at_workers(monkeypatch, 1, lambda: _artifacts(fortress_run(dataset, FAST)))
 
-        def no_pool(method=None):
-            raise AssertionError("a pool was started while another thread ran")
+        def no_fork():
+            raise AssertionError("a process was forked while another thread ran")
 
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         release = threading.Event()
         waiter = threading.Thread(target=release.wait, args=(60,))
         waiter.start()
@@ -481,6 +483,33 @@ class TestCandidateWorkers:
             release.set()
             waiter.join(timeout=60)
         assert not waiter.is_alive()
+
+    def test_a_forked_pass_never_imports_multiprocessing(self):
+        # a fresh interpreter: pytest and hypothesis may import it themselves
+        script = """
+import json, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from fortress import pipeline
+from fortress.model import TrainConfig
+from fortress.synth import SynthConfig, generate
+started, real = [], pipeline._Worker.__init__
+def counted(self, evaluate):
+    started.append(1)
+    real(self, evaluate)
+pipeline._Worker.__init__ = counted
+pipeline._keeps_every_tree = lambda *args: False  # retrain every candidate
+dataset, _ = generate(SynthConfig(n_entities=120, snapshots=3, seed=11))
+cfg = pipeline.PipelineConfig(train=TrainConfig(rounds=8), bootstrap_b=30, candidates=3)
+result = pipeline.fortress_run(dataset, cfg)
+print(json.dumps([len(started), len(result.trace.iterations),
+                  "multiprocessing" in sys.modules]))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=300).stdout
+        workers, retrained, imported = json.loads(out)
+        assert workers >= 2 and retrained >= 2
+        assert not imported
 
 
 def _classified(monkeypatch):
@@ -534,9 +563,7 @@ class TestSettledCandidates:
         retrained = _at_workers(monkeypatch, 1, lambda: fortress_run(dataset, cfg))
         assert _artifacts(settled) == _artifacts(retrained)
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
-    )
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_no_worker_starts_when_every_candidate_is_unused(self, monkeypatch):
         dataset, _ = generate(SMALL_SYNTH)
 
@@ -547,11 +574,11 @@ class TestSettledCandidates:
         retrained = _at_workers(monkeypatch, 2, run)
         monkeypatch.undo()
 
-        def no_pool(method=None):
+        def no_worker(self, evaluate):
             raise AssertionError("a worker was started")
 
         seen = _classified(monkeypatch)
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(pipeline._Worker, "__init__", no_worker)
         settled = _at_workers(monkeypatch, 2, run)
         assert len(seen) == self.UNUSED.candidates and all(s for _, s in seen)
         assert settled == retrained
