@@ -1,9 +1,9 @@
 """When this process may fork workers, and the one way it forks them.
 
-The candidate pool of ``pipeline`` and the split helper of ``model.train``
-share the rule of :func:`worker_count` and are both a :class:`Child`, so a
-child trains serially and the two never run more busy processes than there
-are CPUs.
+The candidate pool of ``pipeline``, the split helper of ``model.train`` and
+the CSV formatters of ``data.write_csv`` share the rule of
+:func:`worker_count` and are all a :class:`Child`, so a child trains and
+writes serially and they never run more busy processes than there are CPUs.
 """
 
 from __future__ import annotations

@@ -346,6 +346,9 @@ def _cmd_prune(args: argparse.Namespace) -> None:
     if args.partition:
         _refuse_split_flags(args, "cannot be combined with --partition")
     config = load_run_config(args.config)
+    for key in ("fractions", "salt"):
+        if args.partition and key in (config.get("pipeline") or {}):
+            raise ValueError(f"pipeline.{key} cannot be combined with --partition")
     seed = resolve_seed(args.seed, config)
     cfg = _pipeline_config(config, seed, args)
     dataset = read_dataset(args.data)

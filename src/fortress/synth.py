@@ -139,7 +139,9 @@ def generate(config: SynthConfig | None = None) -> tuple[SnapshotDataset, Plante
 
     relevance = np.empty(n, dtype=np.float64)
     covered = np.empty(n, dtype=np.bool_)
-    exposure = np.zeros(n, dtype=np.float64)
+    # every entity's snapshot-varying disturbances, for noise_exposure
+    eps_all = np.empty((n, k_info, T), dtype=np.float64)
+    noise_all = np.empty((n, k_noise, T), dtype=np.float64)
     ent_labels: list[str] = []
     ent_regions: list[str] = []
     ent_names: list[str] = []
@@ -151,8 +153,8 @@ def generate(config: SynthConfig | None = None) -> tuple[SnapshotDataset, Plante
         region_ix = int(rng.integers(0, cfg.n_regions))
         cov = bool(rng.random() < cfg.sr_coverage)
         eta = rng.standard_normal(k_sr) * cfg.sigma_sr
-        eps = rng.standard_normal((k_info, T)) * cfg.sigma_eng
-        noise = rng.standard_normal((k_noise, T))
+        eps_all[e] = eps = rng.standard_normal((k_info, T)) * cfg.sigma_eng
+        noise_all[e] = noise = rng.standard_normal((k_noise, T))
 
         label = _label_for(r, cfg.bad_cutoff)
         name = _entity_name(e, width)
@@ -176,15 +178,14 @@ def generate(config: SynthConfig | None = None) -> tuple[SnapshotDataset, Plante
 
         relevance[e] = r
         covered[e] = cov
-        if T > 1:
-            if k_info:
-                exposure[e] += float(np.sum(np.var(eps, axis=1)))
-            if k_noise:
-                exposure[e] += float(np.sum(np.var(noise, axis=1)))
         ent_labels.append(label.name)
         ent_regions.append(region)
         ent_names.append(name)
 
+    # each (entity, feature) row is reduced on its own, in the order of a
+    # per-entity np.var(eps, axis=1), so the sums are the same bit for bit
+    exposure = (np.sum(np.var(eps_all, axis=2), axis=1)
+                + np.sum(np.var(noise_all, axis=2), axis=1))
     dataset = build_dataset(
         schema, "int", entity_ids, snapshot_ids, regions, labels, X,
         sort=False, validate=False,

@@ -1,4 +1,5 @@
-"""Shared fixtures: the default benchmark and the expensive end-to-end runs.
+"""Shared fixtures: the default benchmark and the expensive end-to-end runs,
+and the helpers of the tests that fork.
 
 The default synthetic benchmark, its hash partition, the baseline model, and
 the two full pipeline runs (greedy prune, four-row experiment) are shared
@@ -8,6 +9,7 @@ and only when some selected test actually asks for it.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -73,3 +75,25 @@ def experiment(bench_dataset):
 def rng():
     """Fresh deterministic generator for per-test random data."""
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture()
+def at_cpus(monkeypatch):
+    """``at_cpus(n)`` makes the affinity set ``n`` CPUs for the rest of the
+    test; the rest of the fork rule still holds."""
+
+    def set_cpus(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return set_cpus
+
+
+def assert_no_child():
+    """No forked child of this process is left, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds() -> set[str]:
+    """The file descriptors this process has open (needs ``/proc``)."""
+    return set(os.listdir("/proc/self/fd"))

@@ -197,3 +197,26 @@ def reference_weighted_ap(scores, y, row_weights) -> float:
     d_recall = np.diff(tp / pos, prepend=0.0)
     contributes = d_recall > 0.0
     return float(np.sum(d_recall[contributes] * (tp[contributes] / k[contributes])))
+
+
+def reference_noise_exposure(cfg) -> np.ndarray:
+    """``PlantedTruth.noise_exposure`` of ``synth.generate(cfg)``, entity by
+    entity: replay the generator's draws in their order and sum, over the
+    engagement features, the population variance of each entity's
+    disturbances across its snapshots."""
+    rng = np.random.default_rng(cfg.seed)
+    T = cfg.snapshots
+    exposure = np.zeros(cfg.n_entities, dtype=np.float64)
+    for e in range(cfg.n_entities):
+        rng.random()  # relevance
+        rng.integers(0, cfg.n_regions)  # region
+        rng.random()  # coverage
+        rng.standard_normal(cfg.k_sr)  # semantic-reliability noise
+        eps = rng.standard_normal((cfg.k_eng_info, T)) * cfg.sigma_eng
+        noise = rng.standard_normal((cfg.k_eng_noise, T))
+        if T > 1:
+            if cfg.k_eng_info:
+                exposure[e] += float(np.sum(np.var(eps, axis=1)))
+            if cfg.k_eng_noise:
+                exposure[e] += float(np.sum(np.var(noise, axis=1)))
+    return exposure

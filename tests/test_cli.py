@@ -7,13 +7,15 @@ import hashlib
 import json
 import os
 import re
+import signal
 import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+from conftest import assert_no_child
 
-from fortress import pipeline
+from fortress import data as data_module, pipeline
 from fortress.cli import main
 from fortress.data import CACHE_SUFFIX, PartitionAssignment, parse_csv, read_dataset
 from fortress.model import load_model
@@ -288,6 +290,47 @@ class TestExperimentCommand:
         assert "# Experiment" in capsys.readouterr().out
 
 
+class TestGen:
+    # sha256 of the CSV and of the --truth JSON that `gen --seed 42` wrote
+    # for 60 entities with a serial write and the per-entity exposure loop
+    PINNED = {
+        "d.csv": "d52a54f2a965879e97cbf79901fb494f8a6cf9bdc3988de3daad9d468dfcf4d0",
+        "t.json": "a4aee1dd50a8c5a062b2ccb88517db6c234208e8f34297a26f00d9db02a90fe4",
+    }
+
+    def _gen(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"n_entities": 60}}))
+        return main(["gen", "--seed", "42", "--config", str(cfg), "--out", str(tmp_path / "d.csv"),
+                     "--truth", str(tmp_path / "t.json")])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_gen_writes_the_pinned_bytes(self, tmp_path, at_cpus, cpus):
+        at_cpus(cpus)
+        assert self._gen(tmp_path) == 0
+        for name, digest in self.PINNED.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_dead_csv_formatter_is_reported(self, tmp_path, capsys, monkeypatch, at_cpus):
+        parent = os.getpid()
+        real = data_module._format_rows
+
+        def killed_in_a_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(data_module, "_format_rows", killed_in_a_child)
+        at_cpus(2)
+        assert self._gen(tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "fortress: worker error: the CSV formatter was killed by signal SIGKILL\n"
+        )
+        assert_no_child()
+        assert not (tmp_path / "t.json").exists()
+
+
 class TestSeedPrecedence:
     def _gen_seed(self, tmp_path, argv_extra, env=None, monkeypatch=None):
         if monkeypatch is not None:
@@ -405,7 +448,9 @@ class TestErrorHandling:
         )
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_a_dead_candidate_worker_is_reported(self, workspace, tmp_path, capsys, monkeypatch):
+    def test_a_dead_candidate_worker_is_reported(
+        self, workspace, tmp_path, capsys, monkeypatch, at_cpus
+    ):
         parent = os.getpid()
         ranked = []
         real_ranking, real_paired = pipeline.prune_candidates, pipeline.paired_delta_significance
@@ -423,7 +468,7 @@ class TestErrorHandling:
         monkeypatch.setattr(pipeline, "paired_delta_significance", paired)
         # retrain every candidate, on two workers
         monkeypatch.setattr(pipeline, "_keeps_every_tree", lambda *args: False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        at_cpus(2)
         out = tmp_path / "m.json"
         code = main([
             "prune", "--config", str(workspace / "run.json"), "--data", str(workspace / "data.csv"),
@@ -433,8 +478,7 @@ class TestErrorHandling:
         assert capsys.readouterr().err == (
             f"fortress: worker error: the worker retraining candidate {ranked[1]} exited with status 3\n"
         )
-        with pytest.raises(ChildProcessError):  # no worker or split helper is left
-            os.waitpid(-1, os.WNOHANG)
+        assert_no_child()  # no worker or split helper is left
         assert not out.exists()
 
     def test_deserialize_refusal_ends_eval_with_exit_1(self, workspace, tmp_path, capsys):
@@ -502,6 +546,10 @@ class TestErrorHandling:
              "--fractions cannot be combined with --partition"),
             (["prune", "--partition", "p.json", "--salt", "x"], None,
              "--salt cannot be combined with --partition"),
+            (["prune", "--partition", "p.json"], {"pipeline": {"fractions": [0.5, 0.25, 0.25]}},
+             "pipeline.fractions cannot be combined with --partition"),
+            (["prune", "--partition", "p.json"], {"pipeline": {"salt": "other"}},
+             "pipeline.salt cannot be combined with --partition"),
         ],
     )
     def test_argument_errors_come_before_the_data(

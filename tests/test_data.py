@@ -10,18 +10,24 @@ import hashlib
 import io
 import logging
 import math
+import os
 import re
+import signal
 import string
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import assert_no_child, open_fds
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fortress import data as data_module
+from fortress import _fork, data as data_module
 from fortress.data import (
     CACHE_SUFFIX,
     _CHUNK_ROWS,
+    _FORK_MIN_CELLS,
     _parse_rows,
     _screen_rows,
     Label,
@@ -42,6 +48,7 @@ from fortress.data import (
     write_csv,
 )
 from fortress.rng import mix64
+from fortress.synth import SynthConfig, generate
 
 
 ID_CHARS = string.ascii_letters + string.digits + "_|.:-"
@@ -492,13 +499,14 @@ ROW_COUNTS = st.one_of(
 
 
 @st.composite
-def snapshot_datasets(draw) -> SnapshotDataset:
-    n_rows = draw(ROW_COUNTS)
+def snapshot_datasets(draw, row_counts=lambda d: ROW_COUNTS) -> SnapshotDataset:
+    """Datasets of ``d`` features and ``row_counts(d)`` rows."""
+    d = draw(st.integers(1, 4))
+    n_rows = draw(row_counts(d))
     per_entity = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["int", "date"]))
     stem = draw(st.text(ID_CHARS, min_size=1, max_size=6))
     regions = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=6), min_size=1, max_size=3))
-    d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # the first entity id holds every allowed character
     n_ent = -(-n_rows // per_entity)
@@ -644,6 +652,172 @@ class TestChunkedCsv:
             write_csv(bad, path)
         assert str(exc.value) == f"{path}: {message}"
         assert not path.exists()
+
+
+def _rows_around_the_crossover(d: int):
+    """Row counts of ``d`` features just below and above one, two and three
+    parts' worth of ``_FORK_MIN_CELLS``; they stop anywhere in a chunk."""
+    return st.sampled_from(sorted(
+        k * _FORK_MIN_CELLS // d + delta for k in (1, 2, 3) for delta in (-1, 1, 37)
+    ))
+
+
+def _counting_forks(calls: list):
+    real = os.fork
+
+    def fork():
+        calls.append(1)
+        return real()
+
+    return mock.patch.object(os, "fork", fork)
+
+
+def _no_fork():
+    raise AssertionError("write_csv forked a process")
+
+
+class _WriteInChild(_fork.Child):
+    """A child that writes ``dataset`` to ``path`` where ``os.fork`` fails
+    the write, and answers 1 if the write returned."""
+
+    def __init__(self, dataset, path) -> None:
+        self._args = (dataset, path)
+        super().__init__()
+
+    def serve(self, requests: int, replies: int) -> None:
+        os.fork = _no_fork  # this process only
+        write_csv(*self._args)
+        os.write(replies, b"\x01")
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
+    reason="needs fork and /proc/self/fd",
+)
+class TestParallelWrite:
+    """A write whose parts are formatted by forked children writes the serial
+    write's bytes, and leaves no process or pipe behind."""
+
+    @staticmethod
+    def _big() -> SnapshotDataset:
+        # 800 rows of 25 features: four parts' worth of cells
+        return generate(SynthConfig(n_entities=100, seed=3))[0]
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ds=snapshot_datasets(_rows_around_the_crossover))
+    def test_every_cpu_count_writes_the_same_bytes(self, ds, tmp_path_factory, at_cpus):
+        path = tmp_path_factory.mktemp("par") / "a.csv"
+        written = []
+        for cpus in (1, 2, 3):
+            at_cpus(cpus)
+            before, forks = open_fds(), []
+            with _counting_forks(forks):
+                write_csv(ds, path)
+            written.append(path.read_bytes())
+            assert open_fds() == before
+            assert_no_child()
+            chunks = -(-ds.n_rows // _CHUNK_ROWS)
+            assert len(forks) == max(1, min(cpus, chunks, ds.X.size // _FORK_MIN_CELLS)) - 1
+        assert written[0].decode() == _reference_write(ds)
+        assert written[1] == written[0] and written[2] == written[0]
+
+    @pytest.mark.parametrize("case", ["one CPU", "another thread", "inside a child"])
+    def test_the_fork_rule_keeps_the_write_serial(self, tmp_path, at_cpus, case):
+        ds = self._big()
+        at_cpus(1)
+        write_csv(ds, tmp_path / "serial.csv")
+        at_cpus(1 if case == "one CPU" else 2)
+        path = tmp_path / "a.csv"
+        if case == "inside a child":
+            child = _WriteInChild(ds, path)
+            try:
+                assert os.read(child.replies, 1) == b"\x01"
+            finally:
+                child.close()
+        else:
+            release = threading.Event()
+            waiter = threading.Thread(target=release.wait, args=(60,))
+            if case == "another thread":
+                waiter.start()
+            try:
+                with mock.patch.object(os, "fork", _no_fork):
+                    write_csv(ds, path)
+            finally:
+                release.set()
+                if waiter.is_alive():
+                    waiter.join(timeout=60)
+        assert path.read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert_no_child()
+
+    def test_a_failed_fork_formats_the_rest_here(self, tmp_path, at_cpus):
+        ds = self._big()
+        at_cpus(1)
+        write_csv(ds, tmp_path / "serial.csv")
+        real, forks = os.fork, []
+
+        def second_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise OSError("no process to spare")
+            return real()
+
+        at_cpus(4)
+        before = open_fds()
+        with mock.patch.object(os, "fork", second_fails):
+            write_csv(ds, tmp_path / "a.csv")
+        assert len(forks) == 2
+        assert open_fds() == before
+        assert_no_child()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def _dies(self, tmp_path, at_cpus):
+        """The ``ChildProcessError`` of a write at 3 CPUs, after checking that
+        the write left no process or pipe behind."""
+        at_cpus(3)
+        before = open_fds()
+
+        def too_slow(signum, frame):
+            raise AssertionError("write_csv waited for a dead formatter")
+
+        old = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ChildProcessError) as exc:
+                write_csv(self._big(), tmp_path / "a.csv")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert open_fds() == before
+        assert_no_child()
+        return str(exc.value)
+
+    def test_a_killed_formatter_is_reported(self, tmp_path, at_cpus, monkeypatch):
+        parent, real = os.getpid(), data_module._format_rows
+
+        def killed_in_a_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(data_module, "_format_rows", killed_in_a_child)
+        assert self._dies(tmp_path, at_cpus) == "the CSV formatter was killed by signal SIGKILL"
+
+    def test_a_short_stream_is_reported(self, tmp_path, at_cpus, monkeypatch):
+        real = data_module._LENGTH
+
+        class Overstated:
+            """The length record of a formatter that sends fewer bytes than
+            it announces."""
+            size = real.size
+            unpack = real.unpack
+
+            @staticmethod
+            def pack(n):
+                return real.pack(n + 1)
+
+        monkeypatch.setattr(data_module, "_LENGTH", Overstated)
+        assert self._dies(tmp_path, at_cpus) == "the CSV formatter exited with status 0"
 
 
 @contextlib.contextmanager

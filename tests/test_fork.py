@@ -7,6 +7,7 @@ import signal
 import time
 
 import pytest
+from conftest import assert_no_child, open_fds
 
 from fortress import _fork
 
@@ -25,15 +26,6 @@ class _Probe(_fork.Child):
 
     def serve(self, requests: int, replies: int) -> None:
         self._work(requests, replies)
-
-
-def _open_fds():
-    return set(os.listdir("/proc/self/fd"))
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _blocked(requests, replies):
@@ -81,8 +73,8 @@ def test_a_signal_without_a_name_is_given_by_number():
     assert _death(child) == f"the probe was killed by signal {signum}"
 
 
-def test_a_child_works_serially(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_a_child_works_serially(at_cpus):
+    at_cpus(2)
     assert _fork.worker_count() == 2
 
     def report(req, rep):
@@ -97,13 +89,13 @@ def test_a_child_works_serially(monkeypatch):
 
 
 def test_close_kills_a_busy_child_and_leaves_nothing_behind():
-    before = _open_fds()
+    before = open_fds()
     child = _Probe(lambda req, rep: time.sleep(60))
     start = time.monotonic()
     child.close()
     assert time.monotonic() - start < 0.5
-    assert _open_fds() == before
-    _assert_no_child()
+    assert open_fds() == before
+    assert_no_child()
 
 
 def test_a_failed_fork_closes_the_pipes(monkeypatch):
@@ -111,7 +103,7 @@ def test_a_failed_fork_closes_the_pipes(monkeypatch):
         raise OSError("no process to spare")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    before = _open_fds()
+    before = open_fds()
     with pytest.raises(OSError, match="no process to spare"):
         _Probe(_blocked)
-    assert _open_fds() == before
+    assert open_fds() == before

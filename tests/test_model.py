@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import assert_no_child, open_fds
 
 from fortress import model as model_module
 from fortress.model import (
@@ -616,15 +617,6 @@ def _helper_cases(draw):
     return tm, cfg, mask, prior
 
 
-def _open_fds():
-    return set(os.listdir("/proc/self/fd"))
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _no_fork():
     raise AssertionError("train forked a split helper")
 
@@ -664,11 +656,11 @@ class TestSplitHelper:
 
     def test_helper_is_reaped_and_its_pipes_closed(self, rng):
         tm = self._matrix(rng)
-        before = _open_fds()
+        before = open_fds()
         *_, forks = _trained_at(2, tm, config=self.CFG)
         assert forks == 1
-        assert _open_fds() == before
-        _assert_no_child()
+        assert open_fds() == before
+        assert_no_child()
 
     def test_a_failing_search_still_reaps_the_helper(self, rng, monkeypatch):
         tm = self._matrix(rng)
@@ -682,12 +674,12 @@ class TestSplitHelper:
             return real(*args)
 
         monkeypatch.setattr(model_module.K, "best_split", fails_fifth)
-        before = _open_fds()
+        before = open_fds()
         with pytest.raises(RuntimeError, match="^fifth search$"):
             _trained_at(2, tm, config=self.CFG)
         assert len(calls) == 5
-        assert _open_fds() == before
-        _assert_no_child()
+        assert open_fds() == before
+        assert_no_child()
 
     def test_a_killed_helper_is_reported(self, rng, monkeypatch):
         tm = self._matrix(rng)
@@ -711,7 +703,7 @@ class TestSplitHelper:
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(model_module.K, "best_split", kills_third)
         monkeypatch.setattr(model_module._fork, "worker_count", lambda: 2)
-        before = _open_fds()
+        before = open_fds()
         old = signal.signal(signal.SIGALRM, too_slow)
         signal.alarm(60)
         try:
@@ -721,15 +713,14 @@ class TestSplitHelper:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, old)
         assert str(exc.value) == "the split helper was killed by signal SIGKILL"
-        assert _open_fds() == before
-        _assert_no_child()
+        assert open_fds() == before
+        assert_no_child()
 
     @pytest.mark.parametrize("case", ["one CPU", "another thread", "daemonic process"])
-    def test_the_fork_rule_keeps_the_train_serial(self, rng, monkeypatch, case):
+    def test_the_fork_rule_keeps_the_train_serial(self, rng, monkeypatch, at_cpus, case):
         tm = self._matrix(rng)
         _, serial, _ = _trained_at(1, tm, config=self.CFG)
-        cpus = 1 if case == "one CPU" else 2
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        at_cpus(1 if case == "one CPU" else 2)
         if case == "daemonic process":
             ctx = multiprocessing.get_context("fork")
             queue = ctx.Queue()

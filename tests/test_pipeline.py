@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_no_child
 
 from fortress import pipeline
 from fortress.data import (
@@ -364,22 +365,10 @@ def _artifacts(result):
             dumps_canonical(serialize(result.baseline)))
 
 
-def _at_cpus(monkeypatch, n):
-    """Make the affinity set ``n`` CPUs; the rest of the fork rule still holds."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def _assert_no_child():
-    """No candidate worker, split helper or other child is left, reaped or
-    not."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _at_workers(monkeypatch, n, run):
-    _at_cpus(monkeypatch, n)
+def _at_workers(at_cpus, n, run):
+    at_cpus(n)
     out = run()
-    _assert_no_child()
+    assert_no_child()  # no candidate worker or split helper is left
     return out
 
 
@@ -400,9 +389,9 @@ class TestCandidateWorkers:
         mode=NON_INFERIOR, seed=5,
     )
 
-    def test_fortress_run_identical_across_worker_counts(self, monkeypatch):
+    def test_fortress_run_identical_across_worker_counts(self, at_cpus):
         dataset, _ = generate(SMALL_SYNTH)
-        runs = [_at_workers(monkeypatch, n, lambda: fortress_run(dataset, self.CFG))
+        runs = [_at_workers(at_cpus, n, lambda: fortress_run(dataset, self.CFG))
                 for n in (1, 2, 3)]
         accepted = [k for k, it in enumerate(runs[0].trace.iterations) if it.accepted]
         # restarts after an acceptance, with candidates left to evaluate
@@ -420,17 +409,17 @@ class TestCandidateWorkers:
         )
         assert dumps_canonical(serialize(result.model)) == dumps_canonical(serialize(fresh))
 
-    def test_experiment_table_identical_across_worker_counts(self, monkeypatch):
+    def test_experiment_table_identical_across_worker_counts(self, at_cpus):
         dataset, _ = generate(SMALL_SYNTH)
         cfg = PipelineConfig(
             train=TrainConfig(rounds=10, row_subsample=0.8, col_subsample=0.8),
             bootstrap_b=60, candidates=5, seed=5,
         )
-        serial, forked = (_at_workers(monkeypatch, n, lambda: experiment_table(dataset, cfg))
+        serial, forked = (_at_workers(at_cpus, n, lambda: experiment_table(dataset, cfg))
                           for n in (1, 2))
         assert _artifacts(forked) == _artifacts(serial)
 
-    def test_failing_candidate_raises_at_the_same_candidate(self, monkeypatch, caplog):
+    def test_failing_candidate_raises_at_the_same_candidate(self, at_cpus, monkeypatch, caplog):
         dataset, _ = generate(SMALL_SYNTH)
         failing = {mix64(self.CFG.seed, i): i for i in range(2, 8)}
         real = pipeline.paired_delta_significance
@@ -445,16 +434,16 @@ class TestCandidateWorkers:
         for n in (1, 2):
             caplog.clear()
             with pytest.raises(ValueError, match="bootstrap failed at candidate 2$"):
-                _at_workers(monkeypatch, n, lambda: fortress_run(dataset, self.CFG))
-            _assert_no_child()
+                _at_workers(at_cpus, n, lambda: fortress_run(dataset, self.CFG))
+            assert_no_child()
             committed = [r.getMessage().split()[1] for r in caplog.records
                          if r.getMessage().startswith("prune ")]
             assert committed == ["1/8", "2/8"]
 
-    def test_daemonic_process_falls_back_to_serial(self, monkeypatch):
+    def test_daemonic_process_falls_back_to_serial(self, at_cpus):
         # a daemonic process may not start children, so a pool there would fail
         dataset, _ = generate(SMALL_SYNTH)
-        _at_cpus(monkeypatch, 2)
+        at_cpus(2)
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         child = ctx.Process(target=_in_daemon, args=(queue, dataset), daemon=True)
@@ -462,13 +451,13 @@ class TestCandidateWorkers:
         got = queue.get(timeout=300)
         child.join(timeout=60)
         assert not child.is_alive()
-        assert got == _at_workers(monkeypatch, 1, lambda: _artifacts(fortress_run(dataset, FAST)))
+        assert got == _at_workers(at_cpus, 1, lambda: _artifacts(fortress_run(dataset, FAST)))
 
-    def test_other_threads_keep_the_pass_serial(self, monkeypatch):
+    def test_other_threads_keep_the_pass_serial(self, at_cpus, monkeypatch):
         # forking now would copy locks the other thread may hold, so neither
         # a candidate worker nor a split helper may start
         dataset, _ = generate(SMALL_SYNTH)
-        serial = _at_workers(monkeypatch, 1, lambda: _artifacts(fortress_run(dataset, FAST)))
+        serial = _at_workers(at_cpus, 1, lambda: _artifacts(fortress_run(dataset, FAST)))
 
         def no_fork():
             raise AssertionError("a process was forked while another thread ran")
@@ -478,7 +467,7 @@ class TestCandidateWorkers:
         waiter = threading.Thread(target=release.wait, args=(60,))
         waiter.start()
         try:
-            assert _at_workers(monkeypatch, 2, lambda: _artifacts(fortress_run(dataset, FAST))) == serial
+            assert _at_workers(at_cpus, 2, lambda: _artifacts(fortress_run(dataset, FAST))) == serial
         finally:
             release.set()
             waiter.join(timeout=60)
@@ -546,10 +535,10 @@ class TestSettledCandidates:
     )
 
     @pytest.mark.parametrize("cfg", [NONINFERIOR, STRICT], ids=["noninferior", "strict"])
-    def test_settling_equals_retraining(self, monkeypatch, cfg):
+    def test_settling_equals_retraining(self, at_cpus, monkeypatch, cfg):
         dataset, _ = generate(SMALL_SYNTH)
         seen = _classified(monkeypatch)
-        settled = _at_workers(monkeypatch, 1, lambda: fortress_run(dataset, cfg))
+        settled = _at_workers(at_cpus, 1, lambda: fortress_run(dataset, cfg))
         assert any(s for _, s in seen) and not all(s for _, s in seen)
         if cfg.mode == NON_INFERIOR:
             assert any(it.accepted for it in settled.trace.iterations)
@@ -560,18 +549,18 @@ class TestSettledCandidates:
                 first.setdefault(j, s)
             assert any(first[j] and not s for j, s in seen)
         monkeypatch.setattr(pipeline, "_keeps_every_tree", lambda *args: False)
-        retrained = _at_workers(monkeypatch, 1, lambda: fortress_run(dataset, cfg))
+        retrained = _at_workers(at_cpus, 1, lambda: fortress_run(dataset, cfg))
         assert _artifacts(settled) == _artifacts(retrained)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_no_worker_starts_when_every_candidate_is_unused(self, monkeypatch):
+    def test_no_worker_starts_when_every_candidate_is_unused(self, at_cpus, monkeypatch):
         dataset, _ = generate(SMALL_SYNTH)
 
         def run():
             return _artifacts(fortress_run(dataset, self.UNUSED))
 
         monkeypatch.setattr(pipeline, "_keeps_every_tree", lambda *args: False)
-        retrained = _at_workers(monkeypatch, 2, run)
+        retrained = _at_workers(at_cpus, 2, run)
         monkeypatch.undo()
 
         def no_worker(self, evaluate):
@@ -579,6 +568,6 @@ class TestSettledCandidates:
 
         seen = _classified(monkeypatch)
         monkeypatch.setattr(pipeline._Worker, "__init__", no_worker)
-        settled = _at_workers(monkeypatch, 2, run)
+        settled = _at_workers(at_cpus, 2, run)
         assert len(seen) == self.UNUSED.candidates and all(s for _, s in seen)
         assert settled == retrained

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from oracles import reference_noise_exposure
 
 from fortress.data import Label
 from fortress.synth import PlantedTruth, SynthConfig, generate
@@ -163,6 +164,17 @@ class TestEngagementFeatures:
         noise = X[:, :, 17:]
         recomputed = eps.var(axis=1).sum(axis=1) + noise.var(axis=1).sum(axis=1)
         assert np.allclose(recomputed, truth.noise_exposure, rtol=1e-10, atol=1e-12)
+
+    # numpy sums 8 or more values pairwise, fewer in order: both cases, in
+    # the snapshot variance and in the sum over features
+    @pytest.mark.parametrize("snapshots", [1, 2, 8, 9, 20])
+    @pytest.mark.parametrize("k_info", [0, 1, 15])
+    @pytest.mark.parametrize("k_noise", [0, 1, 15])
+    def test_noise_exposure_is_the_per_entity_loop_bit_for_bit(self, snapshots, k_info, k_noise):
+        cfg = SynthConfig(n_entities=40, snapshots=snapshots, k_eng_info=k_info,
+                          k_eng_noise=k_noise, seed=snapshots + 3 * k_info + 5 * k_noise)
+        _, truth = generate(cfg)
+        assert truth.noise_exposure.tobytes() == reference_noise_exposure(cfg).tobytes()
 
     def test_single_snapshot_has_zero_exposure(self):
         _, truth = generate(SynthConfig(n_entities=20, snapshots=1))
