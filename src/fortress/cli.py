@@ -10,7 +10,7 @@ Subcommands mirror the library pipeline::
     fortress eval       --data ... --model ...           PR-AUC + CV report
     fortress flipflop   --data ... --model ...           decision churn
     fortress experiment --data data.csv --out table.json four-way comparison
-    fortress report     artifact.json                    render any artifact
+    fortress report     artifact.json                    render an artifact
 
 Conventions shared by all subcommands:
 
@@ -21,17 +21,22 @@ Conventions shared by all subcommands:
   which later commands load instead of parsing while the file's sha256 is
   unchanged. Deleting the sidecar is always safe.
 * ``--config`` points at a run-config JSON with optional sections ``seed``,
-  ``synth``, ``train``, ``pipeline``, ``eval``; unknown sections or fields
-  are errors.
+  ``synth``, ``train``, ``pipeline``, ``eval`` (and ``"kind": "run_config"``);
+  unknown sections or fields are errors.
 * Seed precedence: ``--seed`` flag, then the config ``seed``, then the
   ``FORTRESS_SEED`` environment variable, then 42. Sections may pin their
   own ``seed`` to override the run seed for that component only.
-* Commands that consume a seed write the fully-resolved configuration next
-  to their output as ``<out>.config.json``; artifacts contain no timestamps,
-  so a rerun with equal inputs is byte-identical.
-* ``--partition FILE`` loads a partition, else ``--part`` picks a split made
-  from ``--salt`` and ``--fractions``; with neither, or with ``--part all``,
-  every row is used. Both split flags are refused where no split is made.
+* One entity split rule: ``--partition FILE`` loads a partition and
+  refuses ``--salt``, ``--fractions`` and the config's ``pipeline.salt`` and
+  ``pipeline.fractions``. A hash split (``--part train|val|test``; always in
+  ``split``, ``prune`` and ``experiment``) takes its salt and fractions from
+  those flags, else from the config's ``pipeline``, else from the defaults.
+  With no split (no ``--part``, or ``--part all``) every row is used, the
+  split flags are refused and the config's split keys are ignored.
+* Commands that consume a seed write the run they resolved as
+  ``<out>.config.json``, in the schema ``--config`` reads, so that
+  ``--config <out>.config.json`` reruns them byte for byte; artifacts
+  contain no timestamps.
 """
 
 from __future__ import annotations
@@ -44,13 +49,13 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from fortress._config import is_integer
 from fortress.data import (
+    TEST,
+    TRAIN,
+    VAL,
     PartitionAssignment,
     SnapshotDataset,
-    check_fractions,
     partition_entities,
     read_dataset,
     write_csv,
@@ -82,14 +87,18 @@ from fortress.synth import SynthConfig, generate
 
 log = logging.getLogger(__name__)
 
-DEFAULT_FRACTIONS = (0.70, 0.15, 0.15)
-DEFAULT_SALT = "fortress"
-
-_RUN_CONFIG_SECTIONS = {"seed", "synth", "train", "pipeline", "eval"}
+_RUN_CONFIG_KIND = "run_config"
+_RUN_CONFIG_SECTIONS = {"kind", "seed", "synth", "train", "pipeline", "eval"}
+_SECTIONS = {"synth": SynthConfig, "train": TrainConfig, "pipeline": PipelineConfig,
+             "eval": EvalConfig}
+# the keys of the pipeline section that make a hash split, and their flags
+_SPLIT_KEYS = ("salt", "fractions")
+# flags that override the field of the same name in each section that has one
+_FIELD_FLAGS = ("mode", "percentile", "bootstrap_b")
 
 
 # ---------------------------------------------------------------------------
-# run-config handling
+# run configs
 
 
 def _read_json_file(path: str | Path) -> dict:
@@ -103,24 +112,29 @@ def _write_json(path: str | Path, doc: dict) -> None:
     Path(path).write_text(dumps_canonical(doc), encoding="utf-8")
 
 
-def _write_sidecar(out: str | Path, doc: dict) -> None:
-    _write_json(str(out) + ".config.json", doc)
-
-
 def load_run_config(path: str | Path | None) -> dict:
     """Load and validate a run-config JSON; ``None`` yields an empty config."""
     if path is None:
         return {}
     doc = _read_json_file(path)
+    kind = doc.get("kind", _RUN_CONFIG_KIND)
+    if kind != _RUN_CONFIG_KIND:
+        raise ValueError(f"{path}: a run config has kind {_RUN_CONFIG_KIND!r}, got {kind!r}")
     unknown = set(doc) - _RUN_CONFIG_SECTIONS
     if unknown:
         raise ValueError(
             f"{path}: unknown run config sections {sorted(unknown)}; "
             f"expected only {sorted(_RUN_CONFIG_SECTIONS)}"
         )
-    bad = sorted(k for k in set(doc) - {"seed"} if not isinstance(doc[k], (dict, type(None))))
+    bad = sorted(k for k in set(doc) - {"kind", "seed"}
+                 if not isinstance(doc[k], (dict, type(None))))
     if bad:
         raise ValueError(f"{path}: run config sections {bad} must be JSON objects")
+    if "train" in (doc.get("pipeline") or {}):
+        raise ValueError(
+            "training settings belong in the top-level 'train' section, "
+            "not inside 'pipeline'"
+        )
     return doc
 
 
@@ -144,130 +158,118 @@ def resolve_seed(flag_seed: int | None, config: dict) -> int:
     return 42
 
 
-def _synth_config(config: dict, seed: int) -> SynthConfig:
-    section = dict(config.get("synth") or {})
-    section.setdefault("seed", seed)
-    return SynthConfig.from_dict(section)
-
-
-def _train_config(config: dict, seed: int) -> TrainConfig:
-    section = dict(config.get("train") or {})
-    section.setdefault("seed", seed)
-    return TrainConfig.from_dict(section)
-
-
-def _pipeline_config(config: dict, seed: int, args: argparse.Namespace) -> PipelineConfig:
-    section = dict(config.get("pipeline") or {})
-    if "train" in section:
-        raise ValueError(
-            "training settings belong in the top-level 'train' section, "
-            "not inside 'pipeline'"
-        )
-    section.setdefault("seed", seed)
-    cfg = PipelineConfig.from_dict(section)
-    overrides: dict = {"train": _train_config(config, seed)}
-    for name in ("mode", "percentile", "bootstrap_b", "salt"):
-        if getattr(args, name, None) is not None:
-            overrides[name] = getattr(args, name)
-    if getattr(args, "fractions", None) is not None:
-        overrides["fractions"] = _parse_fractions(args.fractions)
-    return dataclasses.replace(cfg, **overrides)
-
-
-def _eval_config(config: dict, args: argparse.Namespace) -> EvalConfig:
-    section = dict(config.get("eval") or {})
-    if args.bootstrap_b is not None:
-        section["bootstrap_b"] = args.bootstrap_b
-    return EvalConfig.from_dict(section)
-
-
-def _fractions(args: argparse.Namespace) -> tuple[float, float, float]:
-    """The checked ``--fractions``, or the default ones."""
-    if not getattr(args, "fractions", None):
-        return DEFAULT_FRACTIONS
-    return check_fractions(_parse_fractions(args.fractions))
-
-
 def _parse_fractions(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(
-            f"fractions must be three comma-separated numbers, got {text!r}"
-        )
     try:
-        a, b, c = (float(p) for p in parts)
-    except ValueError:
+        a, b, c = (float(p) for p in text.split(","))
+    except ValueError:  # not a number, or not three of them
         raise ValueError(
             f"fractions must be three comma-separated numbers, got {text!r}"
         ) from None
     return (a, b, c)
 
 
-# ---------------------------------------------------------------------------
-# partition scoping
-
-
-def _load_partition(path: str | Path) -> PartitionAssignment:
-    return PartitionAssignment.from_dict(_read_json_file(path))
-
-
 @dataclasses.dataclass(frozen=True)
-class _Scope:
-    """The working scope of --partition/--part/--salt/--fractions, resolved
-    before any data is read. ``part`` ``"all"`` means the whole dataset;
-    otherwise the partition is the one loaded from ``--partition``, or is
-    computed from the dataset with ``fractions`` and ``salt``."""
+class _Run:
+    """A command's run as :func:`_resolve` made it, before any data is read.
 
+    ``configs`` holds the config of each section the command uses. ``part``
+    is the slice it works on: ``"all"`` (every row), or a partition name in
+    ``partition`` (loaded from ``--partition``) or in the hash split with
+    the (salt, fractions) of ``split``.
+    """
+
+    seed: int | None
+    configs: dict
     part: str
-    partition: PartitionAssignment | None = None
-    fractions: tuple[float, float, float] | None = None
-    salt: str = DEFAULT_SALT
+    partition: PartitionAssignment | None
+    split: tuple[str, tuple[float, float, float]] | None
 
-    def resolve(self, dataset: SnapshotDataset) -> PartitionAssignment | None:
-        if self.fractions is None:
+    def partition_of(self, dataset: SnapshotDataset) -> PartitionAssignment | None:
+        if self.split is None:
             return self.partition
-        return partition_entities(dataset, self.fractions, self.salt)
+        salt, fractions = self.split
+        return partition_entities(dataset, fractions, salt)
+
+    def entities(self, dataset: SnapshotDataset) -> list[str]:
+        if self.part == "all":
+            return sorted(dataset.entities)
+        part = set(self.partition_of(dataset).entities_in(self.part))
+        entities = sorted(part & set(dataset.entities))
+        if not entities:
+            raise ValueError(f"no dataset entity falls in partition {self.part!r}")
+        return entities
+
+    def write(self, out: str | Path) -> None:
+        """Write ``<out>.config.json``, the run config that ``--config``
+        reads back as this run."""
+        doc = {"kind": _RUN_CONFIG_KIND, "seed": self.seed}
+        doc.update((name, cfg.to_dict()) for name, cfg in self.configs.items())
+        pipeline = doc.pop("pipeline", {})
+        for key in ("train", *_SPLIT_KEYS):  # train is its own section
+            pipeline.pop(key, None)
+        if self.split is not None:
+            pipeline.update(zip(_SPLIT_KEYS, self.split))
+        if pipeline:
+            doc["pipeline"] = pipeline
+        _write_json(str(out) + ".config.json", doc)
 
 
-def _refuse_split_flags(args: argparse.Namespace, why: str) -> None:
-    """Refuse ``--salt`` and ``--fractions`` where no split is made from them."""
-    for flag in ("--salt", "--fractions"):
-        if getattr(args, flag[2:], None):
-            raise ValueError(f"{flag} {why}")
-
-
-def _scope(args: argparse.Namespace, default_part: str) -> _Scope:
-    part = getattr(args, "part", None)
-    if getattr(args, "partition", None):
-        if part == "all":
+def _resolve(args: argparse.Namespace, *sections: str, part: str = "all") -> _Run:
+    """The run of a command that uses the config ``sections`` (``"train"``
+    before ``"pipeline"``, which takes it) and works on ``part`` of a
+    ``--partition`` that ``--part`` does not narrow. See the module
+    docstring for the split rule."""
+    config = load_run_config(args.config) if hasattr(args, "config") else {}
+    seed = resolve_seed(args.seed, config) if hasattr(args, "config") else None
+    pipeline = dict(config.get("pipeline") or {})
+    flags = {key: getattr(args, key, None) for key in _SPLIT_KEYS}
+    chosen, partition_file = getattr(args, "part", None), getattr(args, "partition", None)
+    # no split where --part is absent or "all", or in a command without split flags
+    whole = chosen in (None, "all") if hasattr(args, "part") else not hasattr(args, "salt")
+    split = None
+    if partition_file:
+        if chosen == "all":
             raise ValueError("--part all cannot be combined with --partition")
-        _refuse_split_flags(args, "cannot be combined with --partition")
-        # flag values are lowercase; partition names are canonical uppercase
-        return _Scope((part or default_part).upper(), partition=_load_partition(args.partition))
-    if part is None or part == "all":
-        _refuse_split_flags(args, "needs --part train, val or test")
-        return _Scope("all")
-    salt = getattr(args, "salt", None) or DEFAULT_SALT
-    return _Scope(part.upper(), fractions=_fractions(args), salt=salt)
+        _refuse_split_flags(flags, "cannot be combined with --partition")
+        for key in _SPLIT_KEYS:
+            if key in pipeline:
+                raise ValueError(f"pipeline.{key} cannot be combined with --partition")
+    elif whole:
+        _refuse_split_flags(flags, "needs --part train, val or test")
+        part = "all"
+    else:
+        if flags["salt"] is not None:
+            pipeline["salt"] = flags["salt"]
+        if flags["fractions"] is not None:
+            pipeline["fractions"] = _parse_fractions(flags["fractions"])
+        cfg = PipelineConfig.from_dict({k: pipeline[k] for k in _SPLIT_KEYS if k in pipeline})
+        split = (cfg.salt, cfg.fractions)
+    if chosen not in (None, "all"):
+        part = chosen.upper()  # flag values are lowercase, partition names uppercase
+
+    configs: dict = {}
+    for name in sections:
+        cls = _SECTIONS[name]
+        doc = pipeline if name == "pipeline" else dict(config.get(name) or {})
+        fields = {f.name for f in dataclasses.fields(cls)}
+        if "seed" in fields:
+            doc.setdefault("seed", seed)
+        doc.update((f, getattr(args, f)) for f in _FIELD_FLAGS
+                   if f in fields and getattr(args, f, None) is not None)
+        configs[name] = cls.from_dict(doc)
+    if "pipeline" in configs:
+        configs["pipeline"] = dataclasses.replace(configs["pipeline"], train=configs["train"])
+    partition = None
+    if partition_file:
+        partition = PartitionAssignment.from_dict(_read_json_file(partition_file))
+    return _Run(seed, configs, part, partition, split)
 
 
-def _select_entities(
-    dataset: SnapshotDataset, partition: PartitionAssignment | None, part: str
-) -> list[str]:
-    if partition is None:
-        return sorted(dataset.entities)
-    entities = sorted(set(partition.entities_in(part)) & set(dataset.entities))
-    if not entities:
-        raise ValueError(f"no dataset entity falls in partition {part!r}")
-    return entities
-
-
-def _select_rows(
-    dataset: SnapshotDataset, partition: PartitionAssignment | None, part: str
-) -> np.ndarray:
-    if partition is None:
-        return np.arange(dataset.n_rows, dtype=np.int64)
-    return dataset.rows_for(_select_entities(dataset, partition, part))
+def _refuse_split_flags(flags: dict, why: str) -> None:
+    """Refuse ``--salt`` and ``--fractions`` where no split is made from them."""
+    for key, value in flags.items():
+        if value is not None:
+            raise ValueError(f"--{key} {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +277,10 @@ def _select_rows(
 
 
 def _cmd_gen(args: argparse.Namespace) -> None:
-    config = load_run_config(args.config)
-    seed = resolve_seed(args.seed, config)
-    cfg = _synth_config(config, seed)
-    dataset, truth = generate(cfg)
+    run = _resolve(args, "synth")
+    dataset, truth = generate(run.configs["synth"])
     write_csv(dataset, args.out)
-    _write_sidecar(args.out, {"kind": "run_config", "seed": seed, "synth": cfg.to_dict()})
+    run.write(args.out)
     if args.truth:
         _write_json(
             args.truth,
@@ -299,20 +299,16 @@ def _cmd_gen(args: argparse.Namespace) -> None:
 
 
 def _cmd_split(args: argparse.Namespace) -> None:
-    fractions = _fractions(args)
-    dataset = read_dataset(args.data)
-    partition = partition_entities(dataset, fractions, args.salt or DEFAULT_SALT)
+    run = _resolve(args)
+    partition = run.partition_of(read_dataset(args.data))
     _write_json(args.out, partition.to_dict())
     log.info("partition counts: %s", partition.counts())
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
-    config = load_run_config(args.config)
-    seed = resolve_seed(args.seed, config)
-    cfg = _train_config(config, seed)
-    scope = _scope(args, default_part="train")
+    run = _resolve(args, "train", part=TRAIN)
     dataset = read_dataset(args.data)
-    rows = _select_rows(dataset, scope.resolve(dataset), scope.part)
+    rows = dataset.rows_for(run.entities(dataset))
     if rows.size == 0:
         raise ValueError("no rows selected for training")
     mask = None
@@ -322,62 +318,52 @@ def _cmd_train(args: argparse.Namespace) -> None:
             raise ValueError("--mask must name at least one feature")
         mask = mask_from_names(dataset.schema, names)
     tm = TrainMatrix(dataset.X[rows], dataset.binary_labels()[rows])
-    model = train(tm, config=cfg, mask=mask, schema=dataset.schema)
+    model = train(tm, config=run.configs["train"], mask=mask, schema=dataset.schema)
     save_model(model, args.out)
-    _write_sidecar(args.out, {"kind": "run_config", "seed": seed, "train": cfg.to_dict()})
-    log.info("trained on %d rows (%s scope); model -> %s", rows.size, scope.part, args.out)
+    run.write(args.out)
+    log.info("trained on %d rows (%s scope); model -> %s", rows.size, run.part, args.out)
 
 
 def _cmd_stability(args: argparse.Namespace) -> None:
     check_percentile(args.percentile)
-    scope = _scope(args, default_part="val")
+    run = _resolve(args, part=VAL)
     dataset = read_dataset(args.data)
     model = load_model(args.model)
-    entities = _select_entities(dataset, scope.resolve(dataset), scope.part)
+    entities = run.entities(dataset)
     report = build_stability_report(model, dataset, entities, percentile=args.percentile)
     _write_json(args.out, report.to_dict())
     log.info(
         "stability on %d entities (%s scope): threshold %.4f, %d high-CV",
-        len(entities), scope.part, report.cv_threshold, len(report.high_cv_entities),
+        len(entities), run.part, report.cv_threshold, len(report.high_cv_entities),
     )
 
 
 def _cmd_prune(args: argparse.Namespace) -> None:
-    if args.partition:
-        _refuse_split_flags(args, "cannot be combined with --partition")
-    config = load_run_config(args.config)
-    for key in ("fractions", "salt"):
-        if args.partition and key in (config.get("pipeline") or {}):
-            raise ValueError(f"pipeline.{key} cannot be combined with --partition")
-    seed = resolve_seed(args.seed, config)
-    cfg = _pipeline_config(config, seed, args)
+    run = _resolve(args, "train", "pipeline")
     dataset = read_dataset(args.data)
-    partition = _load_partition(args.partition) if args.partition else None
-    result = fortress_run(dataset, cfg, partition=partition)
+    result = fortress_run(dataset, run.configs["pipeline"], partition=run.partition)
     save_model(result.model, args.out)
     if args.trace:
         _write_json(args.trace, result.trace.to_dict())
-    _write_sidecar(args.out, {"kind": "run_config", "seed": seed, "pipeline": cfg.to_dict()})
+    run.write(args.out)
     kept = len(result.trace.final_features)
     total = len(result.trace.initial_features)
     log.info("pruned %d of %d features; model -> %s", total - kept, total, args.out)
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
-    config = load_run_config(args.config)
-    seed = resolve_seed(args.seed, config)
-    cfg = _eval_config(config, args)
-    scope = _scope(args, default_part="test")
+    run = _resolve(args, "eval", part=TEST)
+    cfg = run.configs["eval"]
     dataset = read_dataset(args.data)
     model = load_model(args.model)
-    entities = _select_entities(dataset, scope.resolve(dataset), scope.part)
+    entities = run.entities(dataset)
     report = evaluate_model(
-        model, dataset, entities, b=cfg.bootstrap_b, seed=seed, level=cfg.level
+        model, dataset, entities, b=cfg.bootstrap_b, seed=run.seed, level=cfg.level
     )
     _write_json(args.out, report.to_dict())
-    _write_sidecar(args.out, {"kind": "run_config", "seed": seed, "eval": cfg.to_dict()})
+    run.write(args.out)
     log.info(
-        "eval on %d entities (%s scope): pr_auc=%.4f", len(entities), scope.part,
+        "eval on %d entities (%s scope): pr_auc=%.4f", len(entities), run.part,
         report.pr_auc.point,
     )
 
@@ -387,11 +373,11 @@ def _cmd_flipflop(args: argparse.Namespace) -> None:
         check_tau(args.tau)
     if args.tau_percentile is not None:
         check_percentile(args.tau_percentile)
-    scope = _scope(args, default_part="test")
+    run = _resolve(args, part=TEST)
     dataset = read_dataset(args.data)
     model = load_model(args.model)
     base = load_model(args.base_model) if args.base_model else None
-    entities = _select_entities(dataset, scope.resolve(dataset), scope.part)
+    entities = run.entities(dataset)
     if args.tau_percentile is not None:
         tau = tau_from_percentile(base or model, dataset, entities, args.tau_percentile)
     elif args.tau is not None:
@@ -404,23 +390,21 @@ def _cmd_flipflop(args: argparse.Namespace) -> None:
         _write_json(args.out, comparison.to_dict())
         log.info(
             "flip-flop (%s scope) tau=%.4f: base %.4f -> %.4f",
-            scope.part, tau, comparison.base.overall.rate, comparison.improved.overall.rate,
+            run.part, tau, comparison.base.overall.rate, comparison.improved.overall.rate,
         )
     else:
         _write_json(args.out, report.to_dict())
         log.info(
-            "flip-flop (%s scope) tau=%.4f: rate %.4f", scope.part, tau, report.overall.rate
+            "flip-flop (%s scope) tau=%.4f: rate %.4f", run.part, tau, report.overall.rate
         )
 
 
 def _cmd_experiment(args: argparse.Namespace) -> None:
-    config = load_run_config(args.config)
-    seed = resolve_seed(args.seed, config)
-    cfg = _pipeline_config(config, seed, args)
+    run = _resolve(args, "train", "pipeline")
     dataset = read_dataset(args.data)
-    result = experiment_table(dataset, cfg)
+    result = experiment_table(dataset, run.configs["pipeline"])
     _write_json(args.out, result.to_dict())
-    _write_sidecar(args.out, {"kind": "run_config", "seed": seed, "pipeline": cfg.to_dict()})
+    run.write(args.out)
     log.info("experiment table -> %s", args.out)
 
 
@@ -447,11 +431,22 @@ def _add_scope_flags(p: argparse.ArgumentParser, with_part: bool = True) -> None
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--salt", help=f"partition salt (default {DEFAULT_SALT!r})")
+    default = ",".join(f"{f:.2f}" for f in PipelineConfig.fractions)
+    p.add_argument("--salt", help=f"partition salt (default {PipelineConfig.salt!r})")
     p.add_argument(
-        "--fractions",
-        metavar="TR,VA,TE",
-        help="train,val,test fractions (default 0.70,0.15,0.15)",
+        "--fractions", metavar="TR,VA,TE", help=f"train,val,test fractions (default {default})"
+    )
+
+
+def _add_gate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=(STRICT, NON_INFERIOR), help="acceptance gate")
+    p.add_argument(
+        "--percentile", type=float,
+        help=f"candidate percentile (default {PipelineConfig.percentile:g})",
+    )
+    p.add_argument(
+        "--bootstrap-b", type=int,
+        help=f"bootstrap resamples (default {PipelineConfig.bootstrap_b})",
     )
 
 
@@ -496,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument(
-        "--percentile", type=float, default=75.0, help="high-CV cohort percentile (default 75)"
+        "--percentile", type=float, default=PipelineConfig.percentile,
+        help=f"high-CV cohort percentile (default {PipelineConfig.percentile:g})",
     )
     _add_scope_flags(p)
     p.set_defaults(func=_cmd_stability)
@@ -506,9 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, metavar="CSV")
     p.add_argument("--out", required=True, metavar="FILE", help="pruned model JSON path")
     p.add_argument("--trace", metavar="FILE", help="also write the full prune trace")
-    p.add_argument("--mode", choices=(STRICT, NON_INFERIOR), help="acceptance gate")
-    p.add_argument("--percentile", type=float, help="candidate percentile (default 75)")
-    p.add_argument("--bootstrap-b", type=int, help="bootstrap resamples (default 1000)")
+    _add_gate_flags(p)
     _add_scope_flags(p, with_part=False)
     p.set_defaults(func=_cmd_prune)
 
@@ -517,7 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, metavar="CSV")
     p.add_argument("--model", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--bootstrap-b", type=int, help="bootstrap resamples (default 1000)")
+    p.add_argument(
+        "--bootstrap-b", type=int,
+        help=f"bootstrap resamples (default {EvalConfig.bootstrap_b})",
+    )
     _add_scope_flags(p)
     p.set_defaults(func=_cmd_eval)
 
@@ -542,14 +539,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--data", required=True, metavar="CSV")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--mode", choices=(STRICT, NON_INFERIOR), help="acceptance gate")
-    p.add_argument("--percentile", type=float, help="candidate percentile (default 75)")
-    p.add_argument("--bootstrap-b", type=int, help="bootstrap resamples (default 1000)")
+    _add_gate_flags(p)
     _add_split_flags(p)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("report", parents=[common], help="render an artifact as markdown")
-    p.add_argument("artifact", metavar="FILE", help="any fortress JSON artifact")
+    p.add_argument("artifact", metavar="FILE", help="a fortress JSON artifact")
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -70,6 +70,9 @@ TRAIN = "TRAIN"
 VAL = "VAL"
 TEST = "TEST"
 PARTS = (TRAIN, VAL, TEST)
+# the split of partition_entities, and of every run that sets none
+DEFAULT_FRACTIONS = (0.70, 0.15, 0.15)
+DEFAULT_SALT = "fortress"
 
 _ID_RE = re.compile(r"[A-Za-z0-9_|.:-]+\Z")
 _INT_SNAPSHOT_RE = re.compile(r"\d+\Z")
@@ -267,15 +270,14 @@ class PartitionAssignment:
     def from_dict(cls, doc: Mapping) -> "PartitionAssignment":
         try:
             salt = doc["salt"]
-            fractions = tuple(float(f) for f in doc["fractions"])
+            fractions = doc["fractions"]
             assignment = dict(doc["assignment"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed partition document: {exc}") from None
         for part in assignment.values():
             if part not in PARTS:
                 raise ValueError(f"unknown partition name in document: {part!r}")
-        if len(fractions) != 3:
-            raise ValueError("partition fractions must have exactly 3 entries")
+        fractions = check_fractions(fractions)
         return cls(salt=str(salt), fractions=fractions, assignment=assignment)  # type: ignore[arg-type]
 
 
@@ -316,8 +318,8 @@ def check_fractions(fractions: Iterable[float]) -> tuple[float, ...]:
 
 def partition_entities(
     dataset: "SnapshotDataset | Iterable[str]",
-    fractions: tuple[float, float, float] = (0.70, 0.15, 0.15),
-    salt: str = "fortress",
+    fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
+    salt: str = DEFAULT_SALT,
 ) -> PartitionAssignment:
     """Assign every entity to TRAIN, VAL, or TEST by salted hashing.
 

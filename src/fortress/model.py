@@ -498,8 +498,8 @@ def train(
     this returns or raises.
 
     Raises:
-        ValueError: on shape problems, a single-class label vector, or an
-            empty mask.
+        ValueError: on shape problems, an empty training matrix, a
+            single-class label vector, or an empty mask.
         ChildProcessError: the split helper died.
     """
     if isinstance(X, TrainMatrix):
@@ -522,6 +522,8 @@ def train(
         raise ValueError("feature mask is empty; at least one feature must be active")
 
     n = tm.n_rows
+    if n == 0:
+        raise ValueError("cannot train on an empty training matrix")
     pos_rate = float(np.mean(tm.y))
     if pos_rate <= 0.0 or pos_rate >= 1.0:
         raise ValueError("training labels must include both classes")
@@ -738,7 +740,8 @@ def deserialize(doc: dict) -> BoostedModel:
     """JSON document -> model. Inverse of :func:`serialize`.
 
     Raises:
-        ValueError: wrong/missing version, missing trees, malformed nodes.
+        ValueError: wrong/missing version, missing trees, malformed nodes, a
+            mask entry that is not a boolean, or a non-finite base score.
     """
     if not isinstance(doc, dict):
         raise ValueError("model document must be a JSON object")
@@ -752,14 +755,20 @@ def deserialize(doc: dict) -> BoostedModel:
         raise ValueError("model document is missing the trees field")
     try:
         schema = tuple(str(s) for s in doc["schema"])
-        mask = np.array([bool(b) for b in doc["mask"]], dtype=np.bool_)
+        flags = list(doc["mask"])
         base_score = float(doc["base_score"])
         config = TrainConfig.from_dict(doc["config"])
         trees = [Tree.from_node_dict(t, len(schema)) for t in doc["trees"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model document: {exc}") from None
+    for flag in flags:
+        if not isinstance(flag, bool):
+            raise ValueError(f"model mask entry {flag!r} is not true or false")
+    mask = np.array(flags, dtype=np.bool_)
     if mask.shape != (len(schema),):
         raise ValueError("model mask length does not match schema length")
+    if not math.isfinite(base_score):
+        raise ValueError(f"model base_score {base_score!r} is not finite")
     return BoostedModel(
         schema=schema, mask=mask, base_score=base_score, config=config, trees=trees
     )

@@ -56,6 +56,8 @@ import numpy as np
 from fortress import _fork
 from fortress._config import Config
 from fortress.data import (
+    DEFAULT_FRACTIONS,
+    DEFAULT_SALT,
     TRAIN,
     VAL,
     TEST,
@@ -121,8 +123,8 @@ class PipelineConfig(Config):
     section = "pipeline"
 
     train: TrainConfig = field(default_factory=TrainConfig)
-    fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)
-    salt: str = "fortress"
+    fractions: tuple[float, float, float] = DEFAULT_FRACTIONS
+    salt: str = DEFAULT_SALT
     percentile: float = 75.0
     candidates: int | str = "auto"
     mode: str = STRICT
@@ -273,16 +275,23 @@ def _in_candidate_order(
     while it waits for the result it needs. A worker that dies raises
     ``ChildProcessError`` naming ``names[i]`` of its index. Leaving the block
     kills the workers, dropping the evaluations still in flight.
-    Otherwise the same results come from ``map`` in this process.
+    Otherwise, and where a fork fails before two workers have started, the
+    same results come from ``map`` in this process.
     """
     count = min(_fork.worker_count(), len(indices))
-    if count < 2:
-        yield map(evaluate, indices)
-        return
     with contextlib.ExitStack() as stack:
-        workers = [stack.enter_context(contextlib.closing(_Worker(evaluate)))
-                   for _ in range(count)]
-        yield _dispatch(workers, indices, names)
+        workers: list[_Worker] = []
+        while count > 1 and len(workers) < count:
+            try:
+                workers.append(_Worker(evaluate))
+            except OSError:  # no process to spare after all: keep those started
+                break
+            stack.callback(workers[-1].close)
+        if len(workers) < 2:
+            stack.close()
+            yield map(evaluate, indices)
+        else:
+            yield _dispatch(workers, indices, names)
 
 
 class _Worker(_fork.Child):

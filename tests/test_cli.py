@@ -15,10 +15,13 @@ from pathlib import Path
 import pytest
 from conftest import assert_no_child
 
-from fortress import data as data_module, pipeline
+from fortress import cli, data as data_module, pipeline
 from fortress.cli import main
-from fortress.data import CACHE_SUFFIX, PartitionAssignment, parse_csv, read_dataset
-from fortress.model import load_model
+from fortress.data import (
+    CACHE_SUFFIX, TEST, TRAIN, PartitionAssignment, parse_csv, read_dataset,
+)
+from fortress.model import TrainConfig, TrainMatrix, dumps_canonical, load_model, serialize, train
+from fortress.pipeline import evaluate_model
 from fortress.rng import mix64
 from fortress.synth import SynthConfig, generate
 from fortress.data import write_csv
@@ -270,6 +273,76 @@ class TestDataSidecar:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["part.json", "pipe.csv", sidecar.name]
 
 
+class TestRunConfigs:
+    """``<out>.config.json`` is the run a command resolved, in the schema
+    ``--config`` reads."""
+
+    # each command with its seed, gate and split flags; the first run adds
+    # --config run.json, the rerun --config <out>.config.json
+    COMMANDS = {
+        "gen": ["gen", "--out", "{out}", "--seed", "3"],
+        "train-hash": ["train", "--data", "{data}", "--out", "{out}", "--part", "train",
+                       "--salt", "x", "--fractions", "0.6,0.2,0.2"],
+        "train-partition": ["train", "--data", "{data}", "--out", "{out}", "--partition", "{part}",
+                            "--mask", "f_sr_0,f_eng_0,f_eng_1", "--seed", "5"],
+        "prune-hash": ["prune", "--data", "{data}", "--out", "{out}", "--trace", "{dir}/trace.json",
+                       "--mode", "strict", "--percentile", "60", "--bootstrap-b", "40",
+                       "--salt", "x"],
+        "prune-partition": ["prune", "--data", "{data}", "--out", "{out}", "--partition", "{part}",
+                            "--seed", "6"],
+        "eval": ["eval", "--data", "{data}", "--model", "{model}", "--out", "{out}", "--part", "val",
+                 "--salt", "x", "--bootstrap-b", "20"],
+        "experiment": ["experiment", "--data", "{data}", "--out", "{out}",
+                       "--fractions", "0.6,0.2,0.2", "--seed", "4"],
+    }
+    REPLACED = {"--config", "--seed", "--salt", "--fractions", "--mode", "--percentile",
+                "--bootstrap-b"}
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_a_rerun_from_the_sidecar_is_byte_identical(self, workspace, tmp_path, clean_env, name):
+        def run(d, config, replaced=()):
+            d.mkdir()
+            values = {"data": workspace / "data.csv", "part": workspace / "part.json",
+                      "model": workspace / "pruned.json", "out": d / "out.json", "dir": d}
+            argv = [a.format(**values) for a in self.COMMANDS[name]]
+            kept = [a for k, a in enumerate(argv)
+                    if a not in replaced and (k == 0 or argv[k - 1] not in replaced)]
+            assert main([*kept, "--config", str(config)]) == 0
+            return {p.name: p.read_bytes() for p in d.iterdir()}
+
+        first = run(tmp_path / "a", workspace / "run.json")
+        sidecar = tmp_path / "a" / "out.json.config.json"
+        assert run(tmp_path / "b", sidecar, self.REPLACED) == first
+        doc = _json(sidecar)
+        assert doc["kind"] == "run_config"
+        assert "train" not in doc.get("pipeline", {})
+        hashed = name.endswith("-hash") or name in ("eval", "experiment")
+        assert ("salt" in doc.get("pipeline", {})) == hashed
+
+    def test_one_run_config_gives_train_eval_and_prune_one_split(
+        self, workspace, tmp_path, monkeypatch, clean_env
+    ):
+        cfg = tmp_path / "c.json"
+        split = {"salt": "x", "fractions": [0.6, 0.2, 0.2]}
+        cfg.write_text(json.dumps({**TINY_RUN, "pipeline": {**TINY_RUN["pipeline"], **split}}))
+        data = ["--config", str(cfg), "--data", str(workspace / "data.csv")]
+        runs, real = [], cli.fortress_run
+        monkeypatch.setattr(cli, "fortress_run", lambda *a, **k: runs.append(real(*a, **k)) or runs[0])
+        assert main(["prune", *data, "--out", str(tmp_path / "p.json")]) == 0
+        assert main(["train", *data, "--out", str(tmp_path / "m.json"), "--part", "train"]) == 0
+        assert main(["eval", *data, "--model", str(tmp_path / "p.json"),
+                     "--out", str(tmp_path / "e.json"), "--part", "test"]) == 0
+        partition = runs[0].partition
+        assert (partition.salt, list(partition.fractions)) == (split["salt"], split["fractions"])
+        ds = read_dataset(workspace / "data.csv")
+        rows = ds.rows_for(partition.entities_in(TRAIN))
+        model = train(TrainMatrix(ds.X[rows], ds.binary_labels()[rows]),
+                      config=TrainConfig(rounds=12), schema=ds.schema)
+        assert (tmp_path / "m.json").read_text() == dumps_canonical(serialize(model))
+        report = evaluate_model(runs[0].model, ds, partition.entities_in(TEST), b=50, seed=42)
+        assert (tmp_path / "e.json").read_text() == dumps_canonical(report.to_dict())
+
+
 class TestExperimentCommand:
     def test_experiment_table(self, workspace, tmp_path, capsys):
         out = tmp_path / "table.json"
@@ -437,6 +510,15 @@ class TestErrorHandling:
         assert code == 1
         assert "unknown run config sections" in capsys.readouterr().err
 
+    def test_a_document_of_another_kind_is_no_run_config(self, workspace, tmp_path, capsys):
+        part = workspace / "part.json"
+        code = main(["train", "--config", str(part), "--data", str(workspace / "data.csv"),
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"fortress: error: {part}: a run config has kind 'run_config', got 'partition'\n"
+        )
+
     def test_non_object_config_section_rejected(self, tmp_path, capsys, clean_env):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"train": 5, "eval": [], "synth": None}))
@@ -550,6 +632,14 @@ class TestErrorHandling:
              "pipeline.fractions cannot be combined with --partition"),
             (["prune", "--partition", "p.json"], {"pipeline": {"salt": "other"}},
              "pipeline.salt cannot be combined with --partition"),
+            (["train", "--partition", "p.json"], {"pipeline": {"salt": "other"}},
+             "pipeline.salt cannot be combined with --partition"),
+            (["eval", "--model", "m.json", "--partition", "p.json"],
+             {"pipeline": {"fractions": [0.5, 0.25, 0.25]}},
+             "pipeline.fractions cannot be combined with --partition"),
+            (["train", "--part", "val"], {"pipeline": {"salt": 5}}, "salt must be a string, got 5"),
+            (["eval", "--model", "m.json", "--part", "test"], {"pipeline": {"fractions": [1, 1, 1]}},
+             "fractions must sum to 1, got (1.0, 1.0, 1.0) (sum 3.0)"),
         ],
     )
     def test_argument_errors_come_before_the_data(

@@ -202,6 +202,14 @@ class TestPartitionAssignment:
             PartitionAssignment.from_dict(doc)
         with pytest.raises(ValueError, match="malformed"):
             PartitionAssignment.from_dict({"salt": "s"})
+        for fractions, message in [
+            ([5, -1, 0], r"^fractions must be non-negative and finite, got \(5.0, -1.0, 0.0\)$"),
+            ([0.5, 0.5, 0.5], "^fractions must sum to 1"),
+            ([0.5, 0.5], "^fractions must have exactly 3 entries$"),
+            (["0.7", "0.15", "0.15"], "^fractions must be a number, got '0.7'$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                PartitionAssignment.from_dict({**self._part().to_dict(), "fractions": fractions})
 
     def test_rows_in_partition_covers_dataset_disjointly(self, rng):
         ids = [f"x{i:03d}" for i in range(40)]

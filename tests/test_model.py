@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -124,6 +125,12 @@ class TestTrainBasics:
     def test_single_class_labels_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             train(np.zeros((5, 2)), np.zeros(5))
+
+    def test_an_empty_matrix_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^cannot train on an empty training matrix$"):
+                train(np.empty((0, 3)), np.empty(0))
 
     def test_matrix_and_y_are_mutually_exclusive(self, rng):
         X = rng.random((10, 2))
@@ -507,6 +514,11 @@ class TestSerialization:
             lambda d: d["trees"][0].update(threshold=-math.inf),
             lambda d: _first_leaf(d["trees"][0]).update(weight=math.inf),
             lambda d: d.update(config=5),
+            lambda d: d.update(base_score=math.nan),
+            lambda d: d.update(base_score=math.inf),
+            lambda d: d["mask"].__setitem__(0, "false"),
+            lambda d: d["mask"].__setitem__(1, "yes"),
+            lambda d: d["mask"].__setitem__(2, 1),
         ],
     )
     def test_deserialize_rejects_malformed_documents(self, rng, mutate):

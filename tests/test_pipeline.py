@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_no_child
+from conftest import assert_no_child, open_fds
 
 from fortress import pipeline
 from fortress.data import (
@@ -439,6 +439,32 @@ class TestCandidateWorkers:
             committed = [r.getMessage().split()[1] for r in caplog.records
                          if r.getMessage().startswith("prune ")]
             assert committed == ["1/8", "2/8"]
+
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_a_failed_worker_fork_keeps_the_workers_started(self, at_cpus, monkeypatch, failing):
+        # from the failing-th worker on, every worker's fork fails: with 3
+        # CPUs the first pass gets no worker, one (too few) or two
+        dataset, _ = generate(SMALL_SYNTH)
+        monkeypatch.setattr(pipeline, "_keeps_every_tree", lambda *args: False)
+        serial = _at_workers(at_cpus, 1, lambda: _artifacts(fortress_run(dataset, self.CFG)))
+        started, real_init, real_fork = [], pipeline._Worker.__init__, os.fork
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        def init(worker, evaluate):
+            started.append(len(started) + 1 >= failing)
+            os.fork = no_fork if started[-1] else real_fork
+            try:
+                real_init(worker, evaluate)
+            finally:
+                os.fork = real_fork
+
+        monkeypatch.setattr(pipeline._Worker, "__init__", init)
+        before = open_fds()
+        assert _at_workers(at_cpus, 3, lambda: _artifacts(fortress_run(dataset, self.CFG))) == serial
+        assert open_fds() == before
+        assert started[:failing] == [False] * (failing - 1) + [True]
 
     def test_daemonic_process_falls_back_to_serial(self, at_cpus):
         # a daemonic process may not start children, so a pool there would fail
