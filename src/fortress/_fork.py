@@ -48,14 +48,15 @@ class Child:
     """
 
     def __init__(self) -> None:
-        req_read, self.requests = os.pipe()
-        self.replies, rep_write = os.pipe()
+        fds = os.pipe()
         try:
+            fds += os.pipe()
             self.pid: int | None = os.fork()
         except OSError:
-            for fd in (req_read, self.requests, self.replies, rep_write):
+            for fd in fds:
                 os.close(fd)
             raise
+        req_read, self.requests, self.replies, rep_write = fds
         if self.pid == 0:
             global _in_child
             _in_child, code = True, 1

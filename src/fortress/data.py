@@ -54,7 +54,7 @@ from enum import IntEnum
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -343,18 +343,34 @@ def partition_entities(
     if not entities:
         raise ValueError("cannot partition an empty entity set")
     fr = check_fractions(fractions)
-    c_train = fr[0]
-    c_val = fr[0] + fr[1]
-    assignment: dict[str, str] = {}
-    for e in entities:
-        u = partition_unit(salt, e)
-        if u < c_train:
-            assignment[e] = TRAIN
-        elif u < c_val:
-            assignment[e] = VAL
-        else:
-            assignment[e] = TEST
+    u = _partition_units(salt, entities)
+    # TRAIN below fr[0], VAL below fr[0] + fr[1], TEST from there
+    part = (u >= fr[0]).astype(np.int64) + (u >= fr[0] + fr[1])
+    assignment = dict(zip(entities, [PARTS[p] for p in part.tolist()]))
     return PartitionAssignment(salt=salt, fractions=fr, assignment=assignment)  # type: ignore[arg-type]
+
+
+def _partition_units(salt: str, entity_ids: Sequence[str]) -> np.ndarray:
+    """``partition_unit(salt, e)`` of every id, bit for bit.
+
+    The FNV-1a hash of the shared prefix ``salt + "\\0"`` is taken once;
+    each id's UTF-8 bytes then continue it as one column of a zero-padded
+    byte matrix at a time, in uint64, whose multiplication wraps modulo
+    2**64 as the masked one does. A row past the end of its id keeps its
+    hash. The uint64 to float64 conversion rounds to nearest, as Python's
+    int to float conversion does, and the division by 2**64 is exact.
+    """
+    encoded = [e.encode("utf-8") for e in entity_ids]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    width = int(lengths.max(initial=0))
+    matrix = np.frombuffer(
+        b"".join(e.ljust(width, b"\0") for e in encoded), dtype=np.uint8
+    ).reshape(len(encoded), width)
+    h = np.full(len(encoded), fnv1a64(salt.encode("utf-8") + b"\0"), dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for col in range(width):
+        h = np.where(col < lengths, (h ^ matrix[:, col]) * prime, h)
+    return h.astype(np.float64) / 2.0**64
 
 
 def rows_in_partition(

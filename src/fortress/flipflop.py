@@ -92,6 +92,12 @@ def flip_flop_rate(
 ) -> FlipFlopReport:
     """Fraction of multi-snapshot entities whose admission decision changes.
 
+    Each entity counts once, in the region of its oldest snapshot (its
+    first row), even when its region changes at a later snapshot. The
+    admissions of each entity's block of rows are counted with one
+    ``np.add.reduceat``: an entity flips when that count is neither 0 nor
+    its snapshot count.
+
     Args:
         model: scoring model (schema must match the dataset).
         dataset: snapshot dataset.
@@ -103,22 +109,29 @@ def flip_flop_rate(
             entity with 2 or more snapshots.
     """
     check_tau(tau)
-    entities, _, scores = score_entities(model, dataset, entity_ids)
+    entities, rows, scores = score_entities(model, dataset, entity_ids)
+    return _flip_flop_report(dataset, entities, rows, scores, tau)
+
+
+def _flip_flop_report(
+    dataset: SnapshotDataset, entities: list[str], rows: np.ndarray, scores: np.ndarray, tau: float
+) -> FlipFlopReport:
+    """:func:`flip_flop_rate` of the ``scores`` of ``rows``, the rows of
+    ``entities`` (ascending) as :func:`score_entities` gives them."""
     if not entities:
         raise ValueError("cannot evaluate flip-flops on an empty entity set")
-    flips: dict[str, int] = {}
-    totals: dict[str, int] = {}
-    for e, series in dataset.split_by_entity(entities, scores).items():
-        if series.size >= 2:
-            admitted = series >= tau
-            region = str(dataset.regions[dataset.entity_rows(e)[0]])
-            totals[region] = totals.get(region, 0) + 1
-            if admitted.any() and not admitted.all():
-                flips[region] = flips.get(region, 0) + 1
-    if not totals:
+    counts = np.array([stop - start for start, stop in map(dataset.entity_rows, entities)])
+    starts = np.cumsum(counts) - counts
+    multi = counts >= 2
+    if not multi.any():
         raise ValueError("no entity has 2 or more snapshots; flip-flops undefined")
+    admitted = np.add.reduceat((scores >= tau).astype(np.int64), starts)
+    flipped = (admitted > 0) & (admitted < counts)
+    regions, region_of = np.unique(dataset.regions[rows[starts[multi]]], return_inverse=True)
+    totals = np.bincount(region_of, minlength=regions.size).tolist()
+    flips = np.bincount(region_of[flipped[multi]], minlength=regions.size).tolist()
     per_region = {
-        r: RegionRate(flipped=flips.get(r, 0), total=totals[r]) for r in sorted(totals)
+        str(r): RegionRate(flipped=f, total=t) for r, f, t in zip(regions, flips, totals)
     }
     overall = RegionRate(
         flipped=sum(v.flipped for v in per_region.values()),

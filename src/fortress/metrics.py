@@ -10,6 +10,12 @@ interval reproducible from (data, seed) alone. The loop takes the attempts
 in bounded batches from :class:`fortress.rng.BootstrapDraws`, which returns
 the same indices bit for bit, and the average-precision bootstraps score a
 whole batch as 2-D integer cumulative sums.
+
+Per-entity statistics take all entities' blocks of rows in one array pass:
+:func:`block_cvs` gives each block its :func:`cv` bit for bit, and
+:func:`entity_cvs` and ``stability.per_feature_cv`` are built on it.
+:func:`bootstrap_mean_ci` scores a batch of resamples with the same
+row-wise mean.
 """
 
 from __future__ import annotations
@@ -72,6 +78,11 @@ class PairedDelta:
     significant_improvement: bool
 
 
+def _check_cv_mode(mode: str) -> None:
+    if mode not in _CV_MODES:
+        raise ValueError(f"unknown cv mode {mode!r}, expected one of {_CV_MODES}")
+
+
 def cv(values: Sequence[float] | np.ndarray, mode: str = MEAN) -> float:
     """Coefficient of variation of a series: population sigma over a mean.
 
@@ -84,8 +95,7 @@ def cv(values: Sequence[float] | np.ndarray, mode: str = MEAN) -> float:
         ValueError: fewer than 2 values, non-finite values, unknown mode,
             or non-positive mean in ``"mean"`` mode.
     """
-    if mode not in _CV_MODES:
-        raise ValueError(f"unknown cv mode {mode!r}, expected one of {_CV_MODES}")
+    _check_cv_mode(mode)
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"cv expects a 1-d series, got shape {arr.shape}")
@@ -100,6 +110,46 @@ def cv(values: Sequence[float] | np.ndarray, mode: str = MEAN) -> float:
             raise ValueError(f"cv mode 'mean' requires a positive mean, got {mu!r}")
         return sigma / mu
     return sigma / (abs(mu) + _CV_EPS)
+
+
+def block_cvs(
+    values: np.ndarray, starts: np.ndarray, counts: np.ndarray, mode: str = MEAN
+) -> np.ndarray:
+    """``cv(values[s:s + c], mode)`` of every block ``(s, c)`` of
+    ``(starts, counts)``, bit for bit, as one float64 array.
+
+    The blocks of one length are reduced together, each as one contiguous
+    row of a 2-D array: numpy sums a row along its last axis with the same
+    pairwise summation as the 1-D ``np.mean`` in :func:`cv`, and every other
+    step is the same element-wise float operation. A block that :func:`cv`
+    would refuse (fewer than 2 values, a non-finite value, a non-positive
+    mean in ``"mean"`` mode) is not scored here: the first of them, in block
+    order, goes to :func:`cv`, which raises its message.
+    """
+    _check_cv_mode(mode)
+    values = np.asarray(values, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    out = np.empty(counts.size, dtype=np.float64)
+    refused = counts < 2
+    for length in np.unique(counts[~refused]).tolist():
+        which = np.flatnonzero(counts == length)
+        rows = values[starts[which, None] + np.arange(length)]
+        finite = np.isfinite(rows).all(axis=1)
+        refused[which[~finite]] = True
+        which, rows = which[finite], rows[finite]
+        mu = np.mean(rows, axis=1)
+        sigma = np.sqrt(np.mean((rows - mu[:, None]) ** 2, axis=1))
+        if mode == MEAN:
+            positive = mu > 0.0
+            refused[which[~positive]] = True
+            out[which[positive]] = sigma[positive] / mu[positive]
+        else:
+            out[which] = sigma / (np.abs(mu) + _CV_EPS)
+    if refused.any():
+        first = int(np.argmax(refused))
+        cv(values[starts[first]:starts[first] + counts[first]], mode)
+    return out
 
 
 def _check_binary_labels(labels: np.ndarray) -> np.ndarray:
@@ -241,6 +291,30 @@ def bootstrap_ci(
 
     lo, hi = _percentile_interval(defined_values, n, b, seed, level, "bootstrap statistic", n)
     return ConfidenceInterval(point=point, lo=lo, hi=hi, level=level, resamples=b, seed=seed)
+
+
+def bootstrap_mean_ci(
+    values: Sequence[float] | np.ndarray, b: int = 1000, seed: int = 0, level: float = 0.95
+) -> ConfidenceInterval:
+    """:func:`bootstrap_ci` of the mean of ``values``, each value its own
+    unit, bit for bit: the interval of
+    ``bootstrap_ci(lambda idx: float(np.mean(v[idx])), np.arange(v.size), b,
+    seed, level)``. A batch of resamples is scored as one ``np.mean`` along
+    the rows of ``v[draws]``, which sums each row as the 1-D mean does; a
+    mean is never undefined, so no resample is redrawn."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"entities must be 1-d, got shape {v.shape}")
+    if v.size < 2:
+        raise ValueError(f"bootstrap needs at least 2 entities, got {v.size}")
+    check_bootstrap_params(b, level)
+    lo, hi = _percentile_interval(
+        lambda draws: np.mean(v[draws], axis=1), v.size, b, seed, level, "bootstrap statistic",
+        v.size,
+    )
+    return ConfidenceInterval(
+        point=float(np.mean(v)), lo=lo, hi=hi, level=level, resamples=b, seed=seed
+    )
 
 
 def _percentile_interval(
@@ -448,8 +522,17 @@ def bootstrap_pr_auc_ci(
 def entity_cvs(
     series: Mapping[str, np.ndarray] | Mapping[str, Sequence[float]],
 ) -> dict[str, float]:
-    """Score CV of every entity with at least 2 scores, in series order."""
-    return {e: cv(s) for e, s in series.items() if len(s) >= 2}
+    """Score CV of every entity with at least 2 scores, in series order:
+    :func:`block_cvs` of the series laid end to end."""
+    kept = {e: np.asarray(s, dtype=np.float64) for e, s in series.items() if len(s) >= 2}
+    for s in kept.values():
+        if s.ndim != 1:
+            cv(s)  # raises its message on a series that is not 1-d
+    if not kept:
+        return {}
+    counts = np.fromiter(map(len, kept.values()), dtype=np.int64, count=len(kept))
+    values = np.concatenate(list(kept.values()))
+    return dict(zip(kept, block_cvs(values, np.cumsum(counts) - counts, counts).tolist()))
 
 
 def mean_entity_cv(series: Mapping[str, np.ndarray] | Mapping[str, Sequence[float]]) -> float:

@@ -70,7 +70,7 @@ from fortress.data import (
 )
 from fortress.metrics import (
     ConfidenceInterval,
-    bootstrap_ci,
+    bootstrap_mean_ci,
     bootstrap_pr_auc_ci,
     check_bootstrap_params,
     entity_cvs,
@@ -531,8 +531,9 @@ def evaluate_model(
 ) -> EvalReport:
     """Pooled-row PR-AUC and mean entity score CV with entity-bootstrap CIs.
 
-    ``mean_entity_cv`` is None when no selected entity has 2 or more
-    snapshots (stability is undefined on single-snapshot data).
+    ``mean_entity_cv`` is None when fewer than two selected entities have 2
+    or more snapshots: stability is undefined on single-snapshot data, and
+    the entity bootstrap of the mean CV needs at least two entity CVs.
 
     Raises:
         ValueError: a model schema that differs from the dataset's, an empty
@@ -551,13 +552,7 @@ def evaluate_model(
     cvs = entity_cvs(dataset.split_by_entity(entities, scores))
     cv_values = np.array(list(cvs.values()), dtype=np.float64)
     if cv_values.size >= 2:
-        cv_ci = bootstrap_ci(
-            lambda idx: float(np.mean(cv_values[idx])),
-            np.arange(cv_values.size),
-            b=b,
-            seed=mix64(seed, 2),
-            level=level,
-        )
+        cv_ci = bootstrap_mean_ci(cv_values, b=b, seed=mix64(seed, 2), level=level)
     else:
         cv_ci = None
     return EvalReport(

@@ -19,7 +19,7 @@ import numpy as np
 
 from fortress._config import is_integer
 from fortress.data import SnapshotDataset
-from fortress.metrics import ABS_MEAN_EPS, cv, entity_cvs, percentile_nearest_rank
+from fortress.metrics import ABS_MEAN_EPS, block_cvs, entity_cvs, percentile_nearest_rank
 from fortress.model import BoostedModel
 
 AUTO = "auto"
@@ -154,19 +154,20 @@ def per_feature_cv(
     missing = [n for n in names if n not in col_of]
     if missing:
         raise ValueError(f"feature names not in dataset schema: {missing}")
-    cols = [col_of[n] for n in names]
-    contributions: list[list[float]] = [[] for _ in names]
-    for e in ents:
-        start, stop = dataset.entity_rows(e)
-        block = dataset.X[start:stop]
-        for slot, j in enumerate(cols):
-            values = block[:, j]
-            present = values[~np.isnan(values)]
-            if present.size >= 2:
-                contributions[slot].append(cv(present, mode=ABS_MEAN_EPS))
-    aggregated = [
-        (float(np.median(c)) if c else 0.0, not c) for c in contributions
-    ]
+    block = dataset.X[dataset.rows_for(ents)]
+    # each cohort entity's index, for each of its rows
+    entity_of_row = np.repeat(
+        np.arange(len(ents)), [stop - start for start, stop in map(dataset.entity_rows, ents)]
+    )
+    aggregated = []
+    for name in names:
+        values = block[:, col_of[name]]
+        present = ~np.isnan(values)
+        counts = np.bincount(entity_of_row[present], minlength=len(ents))
+        starts = np.cumsum(counts) - counts
+        scored = counts >= 2
+        cvs = block_cvs(values[present], starts[scored], counts[scored], mode=ABS_MEAN_EPS)
+        aggregated.append((float(np.median(cvs)) if cvs.size else 0.0, not cvs.size))
     order = sorted(
         range(len(names)),
         key=lambda i: (-aggregated[i][0], aggregated[i][1], i),

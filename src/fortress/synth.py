@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fortress._config import Config
-from fortress.data import Label, SnapshotDataset, build_dataset
-from fortress.rng import mix64
+from fortress.data import LABEL_NAMES, Label, SnapshotDataset, build_dataset
+from fortress.rng import _mix64_array
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,6 @@ class PlantedTruth:
     roles: dict[str, str]
 
 
-def _label_for(r: float, bad_cutoff: float) -> Label:
-    if r < bad_cutoff:
-        return Label.BAD
-    width = (1.0 - bad_cutoff) / 3.0
-    idx = int((r - bad_cutoff) / width)
-    return Label(1 + min(idx, 2))
-
-
 # Entity ids are a pure function of the entity index (not the seed): equal-size
 # datasets share keys, so partitions stay comparable across seeds. The hex tag
 # mimics opaque production keys and spreads ids under hash-based partitioning;
@@ -110,13 +102,17 @@ def _label_for(r: float, bad_cutoff: float) -> Label:
 _ID_MIX = 0x1D5EED
 
 
-def _entity_name(index: int, width: int) -> str:
-    tag = mix64(_ID_MIX, index) & 0xFFFFFFFF
-    return f"q{index:0{width}d}|a{tag:08x}"
+def _entity_names(n: int, width: int) -> list[str]:
+    tags = (_mix64_array(_ID_MIX, np.arange(n, dtype=np.uint64)) & np.uint64(0xFFFFFFFF)).tolist()
+    return [f"q{index:0{width}d}|a{tag:08x}" for index, tag in enumerate(tags)]
 
 
 def generate(config: SynthConfig | None = None) -> tuple[SnapshotDataset, PlantedTruth]:
-    """Generate the synthetic benchmark dataset and its planted truth."""
+    """Generate the synthetic benchmark dataset and its planted truth.
+
+    The loop over entities only draws; the dataset and the truth are then
+    built from the draws in array passes, each the same element-wise float
+    operation that a per-entity construction makes."""
     cfg = config or SynthConfig()
     rng = np.random.default_rng(cfg.seed)
     n, T = cfg.n_entities, cfg.snapshots
@@ -131,64 +127,55 @@ def generate(config: SynthConfig | None = None) -> tuple[SnapshotDataset, Plante
         c = np.ones(k_info)
     b = 0.05 * np.arange(k_sr)
 
-    X = np.empty((n * T, d), dtype=np.float64)
-    entity_ids = np.empty(n * T, dtype=f"<U{width + 11}")
-    snapshot_ids = np.empty(n * T, dtype=f"<U{len(str(max(T - 1, 1)))}")
-    regions = np.empty(n * T, dtype=f"<U{len(str(cfg.n_regions)) + 7}")
-    labels = np.empty(n * T, dtype=np.int8)
-
     relevance = np.empty(n, dtype=np.float64)
-    covered = np.empty(n, dtype=np.bool_)
-    # every entity's snapshot-varying disturbances, for noise_exposure
-    eps_all = np.empty((n, k_info, T), dtype=np.float64)
-    noise_all = np.empty((n, k_noise, T), dtype=np.float64)
-    ent_labels: list[str] = []
-    ent_regions: list[str] = []
-    ent_names: list[str] = []
-
-    snap_names = [str(t) for t in range(T)]
-
+    region_ix = np.empty(n, dtype=np.int64)
+    coverage = np.empty(n, dtype=np.float64)
+    eta = np.empty((n, k_sr), dtype=np.float64)
+    eps = np.empty((n, k_info, T), dtype=np.float64)
+    noise = np.empty((n, k_noise, T), dtype=np.float64)
     for e in range(n):
-        r = float(rng.random())
-        region_ix = int(rng.integers(0, cfg.n_regions))
-        cov = bool(rng.random() < cfg.sr_coverage)
-        eta = rng.standard_normal(k_sr) * cfg.sigma_sr
-        eps_all[e] = eps = rng.standard_normal((k_info, T)) * cfg.sigma_eng
-        noise_all[e] = noise = rng.standard_normal((k_noise, T))
+        relevance[e] = rng.random()
+        region_ix[e] = rng.integers(0, cfg.n_regions)
+        coverage[e] = rng.random()
+        rng.standard_normal(out=eta[e])
+        rng.standard_normal(out=eps[e])
+        rng.standard_normal(out=noise[e])
+    covered = coverage < cfg.sr_coverage
+    eta *= cfg.sigma_sr
+    eps *= cfg.sigma_eng
 
-        label = _label_for(r, cfg.bad_cutoff)
-        name = _entity_name(e, width)
-        region = f"region_{region_ix + 1}"
-        rows = slice(e * T, (e + 1) * T)
+    # X by column group, in place: rows of one entity are one (T, d) slab
+    X = np.empty((n * T, d), dtype=np.float64)
+    slabs = X.reshape(n, T, d)
+    sr_vals = np.clip(relevance[:, None] + b + eta, 0.0, 1.0)
+    sr_vals[~covered] = np.nan
+    slabs[:, :, :k_sr] = sr_vals[:, None, :]
+    info = slabs[:, :, k_sr:k_sr + k_info]
+    np.multiply(relevance[:, None, None], c, out=info)
+    info += eps.transpose(0, 2, 1)
+    slabs[:, :, k_sr + k_info:] = noise.transpose(0, 2, 1)
 
-        if cov and k_sr:
-            sr_vals = np.clip(r + b + eta, 0.0, 1.0)
-            X[rows, :k_sr] = sr_vals
-        else:
-            X[rows, :k_sr] = np.nan
-        if k_info:
-            X[rows, k_sr:k_sr + k_info] = r * c + eps.T
-        if k_noise:
-            X[rows, k_sr + k_info:] = noise.T
-
-        entity_ids[rows] = name
-        snapshot_ids[rows] = snap_names
-        regions[rows] = region
-        labels[rows] = label.value
-
-        relevance[e] = r
-        covered[e] = cov
-        ent_labels.append(label.name)
-        ent_regions.append(region)
-        ent_names.append(name)
+    # Label.BAD below the cutoff, then three equal-width bands above it
+    band = (1.0 - cfg.bad_cutoff) / 3.0
+    codes = np.where(relevance < cfg.bad_cutoff, Label.BAD.value,
+                     1 + np.minimum(((relevance - cfg.bad_cutoff) / band).astype(np.int64), 2))
+    ent_names = _entity_names(n, width)
+    region_names = [f"region_{i + 1}" for i in range(cfg.n_regions)]
+    # the truth's labels and regions share one str object per name
+    ent_labels = tuple(map(LABEL_NAMES.__getitem__, codes.tolist()))
+    ent_regions = tuple(map(region_names.__getitem__, region_ix.tolist()))
 
     # each (entity, feature) row is reduced on its own, in the order of a
     # per-entity np.var(eps, axis=1), so the sums are the same bit for bit
-    exposure = (np.sum(np.var(eps_all, axis=2), axis=1)
-                + np.sum(np.var(noise_all, axis=2), axis=1))
+    exposure = (np.sum(np.var(eps, axis=2), axis=1)
+                + np.sum(np.var(noise, axis=2), axis=1))
     dataset = build_dataset(
-        schema, "int", entity_ids, snapshot_ids, regions, labels, X,
-        sort=False, validate=False,
+        schema, "int",
+        np.repeat(np.array(ent_names, dtype=f"<U{width + 11}"), T),
+        np.tile(np.array([str(t) for t in range(T)], dtype=f"<U{len(str(max(T - 1, 1)))}"), n),
+        np.repeat(np.array(ent_regions, dtype=f"<U{len(str(cfg.n_regions)) + 7}"), T),
+        np.repeat(codes.astype(np.int8), T),
+        X, sort=False, validate=False,
     )
     roles = (
         {f"f_sr_{j}": "sr" for j in range(k_sr)}
@@ -198,8 +185,8 @@ def generate(config: SynthConfig | None = None) -> tuple[SnapshotDataset, Plante
     truth = PlantedTruth(
         entity_ids=tuple(ent_names),
         relevance=relevance,
-        labels=tuple(ent_labels),
-        regions=tuple(ent_regions),
+        labels=ent_labels,
+        regions=ent_regions,
         sr_covered=covered,
         noise_exposure=exposure,
         roles=roles,

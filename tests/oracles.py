@@ -3,9 +3,11 @@ the kernels.
 
 Everything here is written for obviousness, not speed: the average-precision
 reference walks the full precision-recall curve threshold by threshold in
-O(n^2), and the CV reference leans on the statistics module. Test modules
-compare the package implementations against these on hand cases and on large
-randomized batches.
+O(n^2), and the CV reference leans on the statistics module. The per-entity
+references (entity CVs, feature volatility, flip-flops) are the scalar loops
+that the entity-block scoring replaced, one ``metrics.cv`` per block. Test
+modules compare the package implementations against these on hand cases and
+on large randomized batches.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import statistics
 
 import numpy as np
 
+from fortress.metrics import cv
 from fortress.rng import spawn
 
 
@@ -220,3 +223,52 @@ def reference_noise_exposure(cfg) -> np.ndarray:
             if cfg.k_eng_noise:
                 exposure[e] += float(np.sum(np.var(noise, axis=1)))
     return exposure
+
+
+def reference_entity_cvs(series) -> dict:
+    """``metrics.entity_cvs`` entity by entity: the scalar ``cv`` of every
+    series with at least 2 scores, in series order."""
+    return {e: cv(s) for e, s in series.items() if len(s) >= 2}
+
+
+def reference_per_feature_cv(dataset, entities, feature_names=None) -> tuple:
+    """``stability.per_feature_cv`` as one scalar ``cv`` per (entity,
+    feature) pair: for each cohort entity in ascending order and each named
+    feature, the ``abs_mean_eps`` CV of its present values when there are at
+    least 2, then the median per feature (0 without contributors), ranked by
+    value descending, contributors first, then schema position."""
+    ents = sorted(set(entities))
+    names = tuple(feature_names) if feature_names is not None else dataset.schema
+    cols = [dataset.schema.index(n) for n in names]
+    contributions = [[] for _ in names]
+    for e in ents:
+        start, stop = dataset.entity_rows(e)
+        block = dataset.X[start:stop]
+        for slot, j in enumerate(cols):
+            values = block[:, j]
+            present = values[~np.isnan(values)]
+            if present.size >= 2:
+                contributions[slot].append(cv(present, mode="abs_mean_eps"))
+    aggregated = [(float(np.median(c)) if c else 0.0, not c) for c in contributions]
+    order = sorted(range(len(names)), key=lambda i: (-aggregated[i][0], aggregated[i][1], i))
+    return tuple((names[i], aggregated[i][0]) for i in order)
+
+
+def reference_flip_flops(dataset, entities, scores, tau: float) -> dict:
+    """Region -> [flipped, total] of the multi-snapshot ``entities``
+    (ascending), whose rows of ``dataset`` carry ``scores`` in order, entity
+    by entity: an entity is admitted where its score is at least ``tau``,
+    flips when that is not constant, and counts in the region of its first
+    row."""
+    out: dict = {}
+    offset = 0
+    for e in sorted(entities):
+        start, stop = dataset.entity_rows(e)
+        series = scores[offset:offset + stop - start]
+        offset += stop - start
+        if series.size >= 2:
+            admitted = series >= tau
+            counts = out.setdefault(str(dataset.regions[start]), [0, 0])
+            counts[0] += int(admitted.any() and not admitted.all())
+            counts[1] += 1
+    return dict(sorted(out.items()))

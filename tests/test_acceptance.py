@@ -43,7 +43,7 @@ from fortress.pipeline import (
     ROW_FORTRESS,
     ROW_SR_ONLY,
 )
-from fortress.synth import _entity_name
+from fortress.synth import _entity_names
 
 
 def _verdict(gate: str, ok: bool, detail: str) -> None:
@@ -219,7 +219,7 @@ class TestAcceptance:
         """100,000 generator-style keys split within +/-1% of 70/15/15, and
         every single entity lands in exactly one partition."""
         n = 100_000
-        keys = [_entity_name(i, 5) for i in range(n)]
+        keys = _entity_names(n, 5)
         assignment = partition_entities(keys)
         members = {part: set(assignment.entities_in(part)) for part in PARTS}
         fractions = {part: len(members[part]) / n for part in PARTS}

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -20,7 +22,10 @@ from fortress.cli import main
 from fortress.data import (
     CACHE_SUFFIX, TEST, TRAIN, PartitionAssignment, parse_csv, read_dataset,
 )
-from fortress.model import TrainConfig, TrainMatrix, dumps_canonical, load_model, serialize, train
+from fortress.model import (
+    TrainConfig, TrainMatrix, dumps_canonical, load_model, mask_from_names, save_model, serialize,
+    train,
+)
 from fortress.pipeline import evaluate_model
 from fortress.rng import mix64
 from fortress.synth import SynthConfig, generate
@@ -402,6 +407,68 @@ class TestGen:
         )
         assert_no_child()
         assert not (tmp_path / "t.json").exists()
+
+
+class TestAnalysisPinned:
+    """The artifacts and the rendered reports of the post-training commands,
+    as one pass of them wrote them for 60 entities, seed 42, and two fixed
+    8-round models: one on every feature and one without the noise ones."""
+
+    # sha256 of what the per-entity Python loops wrote, before the
+    # entity-block scoring
+    PINNED = {
+        "partition.json": "640d3bd5e75ea9c567f4ba3d042b79565393ce9e208b04b3a0e0837db6f49735",
+        "stability.json": "997a288386ff15cb6a8b8dad531d7bda0889a3ec0973e6af95b7a3f3d71f0d05",
+        "stability_all.json": "f9fadf4f45e4dff4413347e780ed281877d1b535e92df8f39c4174655a1ff88c",
+        "eval.json": "99cf61cfd1e507811dff3c090ea238b81267064f985364d394406bb447ab1375",
+        "eval_all.json": "716c47691abc95ea73024ffe64e2465f4df734f07f0445201b7453385bd1b6fe",
+        "flipflop.json": "209c98a17c5a7b2fb3bf503a6ccc4ea7df300bef641f45025dcbf2356bb84359",
+        "flipflop_all.json": "1764139629865c7f38dc37e25f40d8561c6bee1f4f492701c03a272324421c88",
+        "reports": "b45eaae6308a8a75bdaa52c0308e6e03e6abd72e5b07c31178e9f6d5f36890ba",
+    }
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        w = tmp_path_factory.mktemp("analysis")
+        dataset, _ = generate(SynthConfig(n_entities=60, seed=42))
+        write_csv(dataset, w / "data.csv")
+        rows = dataset.rows_for(data_module.partition_entities(dataset).entities_in(TRAIN))
+        tm = TrainMatrix(dataset.X[rows], dataset.binary_labels()[rows])
+        stable = [n for n in dataset.schema if not n.startswith("f_eng_noise_")]
+        for name, mask in (("all", None), ("stable", mask_from_names(dataset.schema, stable))):
+            model = train(tm, config=TrainConfig(rounds=8), mask=mask, schema=dataset.schema)
+            save_model(model, w / f"{name}.json")
+        data = ["--data", str(w / "data.csv")]
+        part = ["--partition", str(w / "partition.json")]
+        models = ["--model", str(w / "stable.json"), "--base-model", str(w / "all.json")]
+        steps = [
+            ["split", *data, "--out", str(w / "partition.json")],
+            ["stability", *data, "--model", str(w / "all.json"), "--out",
+             str(w / "stability.json"), *part, "--part", "val"],
+            ["stability", *data, "--model", str(w / "all.json"), "--out",
+             str(w / "stability_all.json")],
+            ["eval", *data, "--model", str(w / "stable.json"), "--out", str(w / "eval.json"),
+             *part, "--part", "test"],
+            ["eval", *data, "--model", str(w / "all.json"), "--out", str(w / "eval_all.json")],
+            ["flipflop", *data, *models, "--out", str(w / "flipflop.json"), *part,
+             "--part", "test", "--tau-percentile", "50"],
+            ["flipflop", *data, *models, "--out", str(w / "flipflop_all.json")],
+        ]
+        for argv in steps:
+            assert main(argv) == 0, argv
+        names = [n for n in self.PINNED if n != "reports"]
+        out = {n: (w / n).read_bytes() for n in names}
+        reports = []
+        for name in names:
+            with contextlib.redirect_stdout(io.StringIO()) as text:
+                assert main(["report", str(w / name)]) == 0
+            reports.append(text.getvalue())
+        out["reports"] = "\x00".join(reports).encode()
+        return out
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_writes_the_pinned_bytes(self, outputs, name):
+        assert hashlib.sha256(outputs[name]).hexdigest() == self.PINNED[name]
 
 
 class TestSeedPrecedence:

@@ -142,6 +142,22 @@ class TestPartitioning:
         for e in subset:
             assert part.part_of(e) == full.part_of(e)
 
+    @given(
+        ids=st.lists(st.text(max_size=24), min_size=1, max_size=40),
+        salt=st.text(max_size=8) | st.sampled_from(["fortress", "sälz", "盐", "a\x00b", ""]),
+        fractions=st.sampled_from([(0.70, 0.15, 0.15), (1.0, 0.0, 0.0), (0.0, 0.5, 0.5),
+                                   (0.3, 0.3, 0.4)]),
+    )
+    def test_vectorized_hash_is_partition_unit_bit_for_bit(self, ids, salt, fractions):
+        # any text, so ids and salts of any UTF-8 length, NUL bytes included
+        units = data_module._partition_units(salt, ids)
+        assert [float(u).hex() for u in units] == [partition_unit(salt, e).hex() for e in ids]
+        got = partition_entities(ids, fractions=fractions, salt=salt)
+        c_train, c_val = fractions[0], fractions[0] + fractions[1]
+        for e in ids:
+            u = fnv1a64(salt.encode() + b"\x00" + e.encode()) / 2.0**64
+            assert got.part_of(e) == (TRAIN if u < c_train else VAL if u < c_val else TEST)
+
     def test_salt_reshuffles(self):
         a = partition_entities(self.IDS, salt="fortress")
         b = partition_entities(self.IDS, salt="other")

@@ -95,6 +95,18 @@ class TestFlipFlopRate:
         report = flip_flop_rate(_identity_model(), ds)
         assert set(report.per_region) == {"alpha"}
 
+    def test_an_entity_counts_in_the_region_of_its_oldest_snapshot(self):
+        # "moves" flips while it moves from alpha to beta; "stays" does not
+        rows = [
+            ("moves", 0, "alpha", 0.1), ("moves", 1, "beta", 0.9), ("moves", 2, "beta", 0.9),
+            ("stays", 0, "beta", 0.1), ("stays", 1, "beta", 0.2),
+        ]
+        report = flip_flop_rate(_identity_model(), _dataset(rows))
+        assert {r: v.to_dict() for r, v in report.per_region.items()} == {
+            "alpha": {"flipped": 1, "total": 1, "rate": 1.0},
+            "beta": {"flipped": 0, "total": 1, "rate": 0.0},
+        }
+
     def test_entity_subset(self):
         report = flip_flop_rate(
             _identity_model(), _dataset(HAND_ROWS), entity_ids=["n_low", "n_cross"]

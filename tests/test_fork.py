@@ -107,3 +107,21 @@ def test_a_failed_fork_closes_the_pipes(monkeypatch):
     with pytest.raises(OSError, match="no process to spare"):
         _Probe(_blocked)
     assert open_fds() == before
+
+
+def test_a_failed_second_pipe_closes_the_first(monkeypatch):
+    real_pipe, calls = os.pipe, []
+
+    def pipe():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(24, "Too many open files")
+        return real_pipe()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    before = open_fds()
+    with pytest.raises(OSError, match="Too many open files"):
+        _Probe(_blocked)
+    assert len(calls) == 2
+    assert open_fds() == before
+    assert_no_child()

@@ -301,6 +301,21 @@ class TestEvaluateModel:
         assert doc["kind"] == "eval_report"
         assert doc["mean_entity_cv"] is None
 
+    def test_one_multi_snapshot_entity_has_no_cv_interval(self, small_run):
+        # its CV is defined, but the bootstrap of the mean needs two of them
+        dataset, result = small_run
+        first, *others = result.partition.entities_in(TEST)
+        start, stop = dataset.entity_rows(first)
+        rows = np.r_[start:stop, [dataset.entity_rows(e)[1] - 1 for e in others]]
+        ds = build_dataset(
+            dataset.schema, dataset.snapshot_kind, dataset.entity_ids[rows],
+            dataset.snapshot_ids[rows], dataset.regions[rows], dataset.labels[rows],
+            dataset.X[rows],
+        )
+        rep = evaluate_model(result.model, ds, [first, *others], b=50, seed=3)
+        assert rep.n_multi_snapshot_entities == 1
+        assert rep.mean_entity_cv is None
+
 
 @pytest.fixture(scope="module")
 def small_experiment():
