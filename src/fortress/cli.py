@@ -60,9 +60,10 @@ from fortress.data import (
     read_dataset,
     write_csv,
 )
-from fortress.flipflop import check_tau, flip_flop_rate, relative_reduction, tau_from_percentile
+from fortress.flipflop import FlipFlopReport, check_tau, flip_flop_rate, relative_reduction
 from fortress.metrics import check_percentile
 from fortress.model import (
+    BoostedModel,
     TrainConfig,
     TrainMatrix,
     dumps_canonical,
@@ -378,15 +379,24 @@ def _cmd_flipflop(args: argparse.Namespace) -> None:
     model = load_model(args.model)
     base = load_model(args.base_model) if args.base_model else None
     entities = run.entities(dataset)
+    # with --tau-percentile, the model whose scores set tau (the base model
+    # if there is one) is scored once, for tau and for its own rate
+    tau_model = base or model
+    tau_report = None
     if args.tau_percentile is not None:
-        tau = tau_from_percentile(base or model, dataset, entities, args.tau_percentile)
-    elif args.tau is not None:
-        tau = args.tau
+        tau_report = flip_flop_rate(tau_model, dataset, entities, percentile=args.tau_percentile)
+        tau = tau_report.tau
     else:
-        tau = 0.5
-    report = flip_flop_rate(model, dataset, entities, tau)
+        tau = 0.5 if args.tau is None else args.tau
+
+    def rate(m: BoostedModel) -> FlipFlopReport:
+        if m is tau_model and tau_report is not None:
+            return tau_report
+        return flip_flop_rate(m, dataset, entities, tau)
+
+    report = rate(model)
     if base is not None:
-        comparison = relative_reduction(flip_flop_rate(base, dataset, entities, tau), report)
+        comparison = relative_reduction(rate(base), report)
         _write_json(args.out, comparison.to_dict())
         log.info(
             "flip-flop (%s scope) tau=%.4f: base %.4f -> %.4f",

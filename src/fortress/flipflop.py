@@ -89,6 +89,8 @@ def flip_flop_rate(
     dataset: SnapshotDataset,
     entity_ids: Iterable[str] | None = None,
     tau: float = 0.5,
+    *,
+    percentile: float | None = None,
 ) -> FlipFlopReport:
     """Fraction of multi-snapshot entities whose admission decision changes.
 
@@ -103,13 +105,19 @@ def flip_flop_rate(
         dataset: snapshot dataset.
         entity_ids: entities to evaluate; defaults to all.
         tau: admission threshold; admitted means ``score >= tau``.
+        percentile: when given, ``tau`` is ignored and the threshold is
+            :func:`tau_from_percentile` of this model on these entities,
+            taken from the same scores as the rate (the report's ``tau``).
 
     Raises:
-        ValueError: schema mismatch, unknown entities, non-finite tau, or no
-            entity with 2 or more snapshots.
+        ValueError: schema mismatch, unknown entities, non-finite tau, an
+            empty entity set, or no entity with 2 or more snapshots.
     """
-    check_tau(tau)
+    if percentile is None:
+        check_tau(tau)
     entities, rows, scores = score_entities(model, dataset, entity_ids)
+    if percentile is not None:
+        tau = _tau_of_scores(entities, scores, percentile)
     return _flip_flop_report(dataset, entities, rows, scores, tau)
 
 
@@ -186,6 +194,10 @@ def tau_from_percentile(
 ) -> float:
     """Admission threshold at a percentile of a model's score distribution."""
     entities, _, scores = score_entities(model, dataset, entity_ids)
+    return _tau_of_scores(entities, scores, percentile)
+
+
+def _tau_of_scores(entities: list[str], scores: np.ndarray, percentile: float) -> float:
     if not entities:
         raise ValueError("cannot derive tau from an empty entity set")
     return percentile_nearest_rank(scores, percentile)

@@ -115,6 +115,7 @@ class TrainMatrix:
         self.X = X
         self.y = y
         self._presort: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._ranks: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -149,6 +150,26 @@ class TrainMatrix:
             )
             self._presort = (vals_sorted, sort_rows, offsets)
         return self._presort
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """The rank table of the batched split search: an ``(n, d)`` array
+        holding each cell's position in its feature's presorted values, and
+        ``n`` for a missing cell; ``uint16`` when ``n < 65,535``. Built on
+        first use, like the presort."""
+        if self._ranks is None:
+            _, sort_rows, offsets = self.presort
+            n, d = self.X.shape
+            dtype = np.uint16 if n < 65535 else np.uint32
+            ranks = np.full((n, d), n, dtype=dtype)
+            # a feature at a time, so no temporary grows past one column
+            bounds = offsets.tolist()
+            for j in range(d):
+                ranks[sort_rows[bounds[j]:bounds[j + 1]], j] = np.arange(
+                    bounds[j + 1] - bounds[j], dtype=dtype
+                )
+            self._ranks = ranks
+        return self._ranks
 
 
 @dataclass
@@ -410,8 +431,9 @@ def _first_best(a: tuple, b: tuple) -> tuple:
 
 
 class _SplitHelper(_fork.Child):
-    """A forked process that runs the split search over every other active
-    feature of a node while this process runs it over the rest.
+    """A forked process that runs the per-feature split scan over every
+    other active feature of a node above the batched cutoff while this
+    process runs it over the rest.
 
     The helper inherits the presort. The gradients, the hessians, the node
     mask and the helper's active features live in an anonymous shared
@@ -489,13 +511,20 @@ def train(
             :func:`_reusable_prefix`). The result is the fresh train's model
             either way; only the work done differs.
 
-    With trees left to grow and more than one CPU allowed by
-    ``_fork.worker_count`` (so not inside a ``_fork.Child`` such as a
-    candidate worker, with other threads running, or with one CPU), the
-    split search of every node is shared with one forked
-    :class:`_SplitHelper`, which takes every other active feature. The model
-    is the serial search's, byte for byte, and the helper is reaped before
-    this returns or raises.
+    The split search takes one of two paths by the node's row count, and
+    both give the same bits. A small node is searched in this process, in
+    one batched pass over all active features that reads the matrix's rank
+    table (``TrainMatrix.ranks``, built on the first small node). A larger
+    node is scanned one feature at a time. With trees left to grow, a root
+    above ``_kernels.SMALL_NODE_ROWS // 2`` rows, and more than one CPU
+    allowed by ``_fork.worker_count`` (so not inside a ``_fork.Child`` such
+    as a candidate worker, with other threads running, or with one CPU),
+    the scan of every large node is shared with one forked
+    :class:`_SplitHelper`, which takes every other active feature. A node
+    is small at up to ``SMALL_NODE_ROWS`` rows when the search is serial,
+    and at up to half that when the helper shares the scan, which then
+    takes about half as long. The model is the serial search's, byte for
+    byte, and the helper is reaped before this returns or raises.
 
     Raises:
         ValueError: on shape problems, an empty training matrix, a
@@ -559,12 +588,19 @@ def train(
     for tree in prefix:
         margins = margins + _tree_margin(tree, tm.X)
 
+    root_rows = n
+    if config.row_subsample < 1.0:
+        root_rows = max(1, int(math.floor(config.row_subsample * n)))
+    # the helper halves the per-feature scan, and with it the batched
+    # cutoff; a helper that no node would ask is not forked
     helper = None
-    if len(prefix) < config.rounds and active_all.size > 1 and _fork.worker_count() > 1:
+    if (len(prefix) < config.rounds and active_all.size > 1
+            and root_rows > K.SMALL_NODE_ROWS // 2 and _fork.worker_count() > 1):
         try:
             helper = _SplitHelper(tm.presort, n, d)
         except OSError:  # no process to spare after all: search serially
             helper = None
+    small = K.SMALL_NODE_ROWS if helper is None else K.SMALL_NODE_ROWS // 2
     try:
         for round_ix in range(len(prefix), config.rounds):
             p = _sigmoid(margins)
@@ -578,9 +614,8 @@ def train(
             if config.row_subsample < 1.0 or config.col_subsample < 1.0:
                 rng = spawn(config.seed, round_ix)
                 if config.row_subsample < 1.0:
-                    keep = max(1, int(math.floor(config.row_subsample * n)))
                     root_mask = np.zeros(n, dtype=np.bool_)
-                    root_mask[rng.choice(n, size=keep, replace=False)] = True
+                    root_mask[rng.choice(n, size=root_rows, replace=False)] = True
                 if config.col_subsample < 1.0:
                     keep_f = max(1, int(math.floor(config.col_subsample * active_all.size)))
                     active = np.sort(rng.choice(active_all, size=keep_f, replace=False))
@@ -599,21 +634,15 @@ def train(
                     builder.weight[node] = 0.0
                     return node
                 if depth < config.max_depth:
-                    search = K.best_split if helper is None else helper.best_split
-                    gain, j, threshold, default_left = search(
-                        vals_sorted,
-                        sort_rows,
-                        offsets,
-                        node_mask,
-                        g,
-                        h,
-                        g_total,
-                        h_total,
-                        active,
-                        lam,
-                        gamma,
-                        min_h,
-                    )
+                    args = (vals_sorted, sort_rows, offsets, node_mask, g, h,
+                            g_total, h_total, active, lam, gamma, min_h)
+                    if rows.size <= small:
+                        found = K.best_split(*args, (tm.X, tm.ranks, rows))
+                    elif helper is None:
+                        found = K.best_split(*args)
+                    else:
+                        found = helper.best_split(*args)
+                    gain, j, threshold, default_left = found
                     if j >= 0 and gain > 0.0:
                         builder.feature[node] = int(j)
                         builder.threshold[node] = float(threshold)

@@ -22,9 +22,10 @@ from fortress.cli import main
 from fortress.data import (
     CACHE_SUFFIX, TEST, TRAIN, PartitionAssignment, parse_csv, read_dataset,
 )
+from fortress.flipflop import flip_flop_rate, relative_reduction, tau_from_percentile
 from fortress.model import (
-    TrainConfig, TrainMatrix, dumps_canonical, load_model, mask_from_names, save_model, serialize,
-    train,
+    BoostedModel, TrainConfig, TrainMatrix, dumps_canonical, load_model, mask_from_names,
+    save_model, serialize, train,
 )
 from fortress.pipeline import evaluate_model
 from fortress.rng import mix64
@@ -469,6 +470,42 @@ class TestAnalysisPinned:
     @pytest.mark.parametrize("name", list(PINNED))
     def test_writes_the_pinned_bytes(self, outputs, name):
         assert hashlib.sha256(outputs[name]).hexdigest() == self.PINNED[name]
+
+
+class TestFlipflopScoring:
+    """``flipflop --tau-percentile`` scores the model that sets tau once,
+    for tau and for its own rate, and writes what tau_from_percentile and
+    two separate rates wrote."""
+
+    @pytest.mark.parametrize("with_base", [True, False], ids=["base", "no-base"])
+    def test_the_tau_model_is_scored_once(self, workspace, tmp_path, monkeypatch, with_base):
+        model_path = workspace / "pruned.json"
+        base_path = workspace / "baseline.json"
+        dataset = read_dataset(workspace / "data.csv")
+        model, base = load_model(model_path), load_model(base_path)
+        entities = sorted(dataset.entities)
+        tau = tau_from_percentile(base if with_base else model, dataset, entities, 30.0)
+        report = flip_flop_rate(model, dataset, entities, tau)
+        if with_base:
+            doc = relative_reduction(flip_flop_rate(base, dataset, entities, tau), report)
+        else:
+            doc = report
+        argv = ["flipflop", "--data", str(workspace / "data.csv"), "--model", str(model_path),
+                "--out", str(tmp_path / "f.json"), "--tau-percentile", "30"]
+        if with_base:
+            argv += ["--base-model", str(base_path)]
+        predictions = []
+        real = BoostedModel.predict
+
+        def counted(self, X):
+            predictions.append(1)
+            return real(self, X)
+
+        monkeypatch.setattr(BoostedModel, "predict", counted)
+        assert main(argv) == 0
+        # was 3 with a base model (base twice) and 2 without (model twice)
+        assert len(predictions) == (2 if with_base else 1)
+        assert (tmp_path / "f.json").read_text() == dumps_canonical(doc.to_dict())
 
 
 class TestSeedPrecedence:

@@ -212,3 +212,16 @@ class TestTauFromPercentile:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty entity set"):
             tau_from_percentile(_identity_model(), _dataset(HAND_ROWS), entity_ids=[])
+        with pytest.raises(ValueError, match="empty entity set"):
+            flip_flop_rate(_identity_model(), _dataset(HAND_ROWS), entity_ids=[], percentile=50.0)
+
+    @pytest.mark.parametrize("percentile", [1.0, 30.0, 50.0, 80.0, 100.0])
+    def test_a_rate_at_a_percentile_is_the_rate_at_its_tau(self, rng, percentile):
+        model = _identity_model()
+        rows = [(f"e{i}", t, "r", float(rng.random())) for i in range(20) for t in range(2)]
+        ds = _dataset(rows)
+        tau = tau_from_percentile(model, ds, percentile=percentile)
+        # tau=nan is ignored when the percentile sets the threshold
+        got = flip_flop_rate(model, ds, tau=float("nan"), percentile=percentile)
+        assert got.tau == tau
+        assert got.to_dict() == flip_flop_rate(model, ds, tau=tau).to_dict()

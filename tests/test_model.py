@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import assert_no_child, open_fds
 
+from fortress import _kernels as K
 from fortress import model as model_module
 from fortress.model import (
     BoostedModel,
@@ -119,6 +120,20 @@ class TestTrainMatrix:
             for v in np.unique(seg):
                 tied = rows[seg == v]
                 assert np.all(np.diff(tied) > 0)
+
+    def test_rank_table_holds_each_cells_presort_position(self, rng):
+        X = np.round(rng.random((30, 3)), 1)
+        X[rng.random((30, 3)) < 0.2] = np.nan
+        X[:, 2] = np.nan
+        tm = TrainMatrix(X, (rng.random(30) < 0.5).astype(float))
+        ranks = tm.ranks
+        assert tm.ranks is ranks
+        assert ranks.dtype == np.uint16 and ranks.shape == (30, 3)
+        _, sort_rows, offsets = tm.presort
+        for j in range(3):
+            present = np.flatnonzero(~np.isnan(X[:, j]))
+            assert np.array_equal(sort_rows[offsets[j] + ranks[present, j]], present)
+            assert np.all(ranks[np.isnan(X[:, j]), j] == 30)
 
 
 class TestTrainBasics:
@@ -464,6 +479,56 @@ def _first_leaf(node: dict) -> dict:
     return node
 
 
+@st.composite
+def _cutoff_cases(draw):
+    """(matrix, config, wide mask, narrow mask): enough rows that a root
+    under a 0.7 row sample is above the default cutoff or its half, and its
+    children mostly below, with tied and missing values and an all-missing
+    column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(K.SMALL_NODE_ROWS + 10, K.SMALL_NODE_ROWS + 200))
+    d = draw(st.integers(3, 6))
+    X = np.floor(rng.random((n, d)) * draw(st.sampled_from([5, 1000])))
+    X[rng.random((n, d)) < 0.15] = np.nan
+    X[:, d - 1] = np.nan
+    y = (np.nan_to_num(X[:, 0]) + np.nan_to_num(X[:, 1]) + rng.normal(size=n) * 2
+         > np.nanmedian(X[:, 0])).astype(float)
+    y[:2] = (0.0, 1.0)
+    cfg = TrainConfig(
+        rounds=draw(st.integers(1, 4)),
+        max_depth=draw(st.integers(1, 3)),
+        l2_lambda=draw(st.sampled_from([0.0, 1.0])),
+        min_child_hessian=1.0,
+        row_subsample=draw(st.sampled_from([1.0, 0.7])),
+        col_subsample=draw(st.sampled_from([1.0, 0.7])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    wide = np.ones(d, dtype=np.bool_)
+    narrow = wide.copy()
+    narrow[draw(st.integers(1, d - 1))] = False
+    return TrainMatrix(X, y), cfg, wide, narrow
+
+
+class TestBatchedCutoff:
+    """Where the batched search takes over changes nothing in the model."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_cutoff_cases())
+    def test_models_are_the_same_at_every_cutoff(self, case):
+        # cutoff 0: every node per feature; above 2n: every node batched,
+        # also at the half a train with the helper uses
+        tm, cfg, wide, narrow = case
+        seen = set()
+        for cutoff in (0, K.SMALL_NODE_ROWS, 2 * tm.n_rows + 2):
+            for cpus in (1, 2):
+                with mock.patch.object(K, "SMALL_NODE_ROWS", cutoff):
+                    prior, prior_bytes, _ = _trained_at(cpus, tm, config=cfg, mask=wide)
+                    _, warm_bytes, _ = _trained_at(cpus, tm, config=cfg, mask=narrow,
+                                                   warm_start=prior)
+                seen.add((prior_bytes, warm_bytes))
+        assert len(seen) == 1
+
+
 class TestSerialization:
     def _trained(self, rng):
         X = rng.random((300, 6))
@@ -582,18 +647,26 @@ class TestPredictApi:
             model.predict_margin(np.zeros((4, 3)))
 
 
-def _trained_at(cpus, *args, **kwargs):
+def _trained_at(cpus, *args, answered=None, **kwargs):
     """``train(*args, **kwargs)`` where the fork rule allows ``cpus``
-    processes: (the model, its canonical bytes, the processes it forked)."""
+    processes: (the model, its canonical bytes, the processes it forked).
+    Each search the split helper answers appends to the list ``answered``."""
     forks = []
     real_fork = os.fork
+    answered = [] if answered is None else answered
+    real_merge = model_module._first_best
 
     def fork():
         forks.append(1)
         return real_fork()
 
+    def merge(mine, theirs):  # runs once per reply of the helper
+        answered.append(1)
+        return real_merge(mine, theirs)
+
     with mock.patch.object(model_module._fork, "worker_count", lambda: cpus), \
-            mock.patch.object(os, "fork", fork):
+            mock.patch.object(os, "fork", fork), \
+            mock.patch.object(model_module, "_first_best", merge):
         model = train(*args, **kwargs)
     return model, dumps_canonical(serialize(model)), len(forks)
 
@@ -646,38 +719,62 @@ def _train_in_daemon(queue, tm, cfg):
     reason="needs fork and /proc/self/fd",
 )
 class TestSplitHelper:
-    """A train that shares each split search with a forked helper grows the
-    serial train's model, and leaves no process or pipe behind."""
+    """A train that shares the search of each node above the batched
+    cutoff with a forked helper grows the serial train's model, and leaves
+    no process or pipe behind."""
 
     CFG = TrainConfig(rounds=10, max_depth=3)
 
-    def _matrix(self, rng, n=300, d=6):
+    def _matrix(self, rng, n=1200, d=6):
+        # by default, nodes on both sides of the helped cutoff, half of
+        # SMALL_NODE_ROWS: the root and most nodes one level down are above
+        # it, so the helper is asked
         X = rng.random((n, d))
         X[rng.random((n, d)) < 0.1] = np.nan
         y = ((np.nan_to_num(X[:, 0]) + np.nan_to_num(X[:, 3])) > 0.9).astype(float)
         return TrainMatrix(X, y)
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_helper_cases())
-    def test_helper_trains_the_serial_model(self, case):
+    @given(case=_helper_cases(), cutoff=st.sampled_from([0, 16]))
+    def test_helper_trains_the_serial_model(self, case, cutoff):
+        # the drawn matrices are small, so the cutoff comes down to keep
+        # roots (at least 14 rows) above its half, where the helper is asked
         tm, cfg, mask, prior = case
-        _, serial, none = _trained_at(1, tm, config=cfg, mask=mask, warm_start=prior)
-        model, helped, forks = _trained_at(2, tm, config=cfg, mask=mask, warm_start=prior)
+        answered = []
+        with mock.patch.object(K, "SMALL_NODE_ROWS", cutoff):
+            _, serial, none = _trained_at(1, tm, config=cfg, mask=mask, warm_start=prior)
+            model, helped, forks = _trained_at(
+                2, tm, config=cfg, mask=mask, warm_start=prior, answered=answered
+            )
         assert helped == serial
         assert none == 0 and forks == (model.rounds_reused < cfg.rounds)
+        # every grown root is searched by both processes unless the column
+        # draw leaves one feature
+        if forks and (cfg.col_subsample == 1.0 or np.count_nonzero(mask) >= 3):
+            assert answered
 
     def test_helper_is_reaped_and_its_pipes_closed(self, rng):
         tm = self._matrix(rng)
         before = open_fds()
-        *_, forks = _trained_at(2, tm, config=self.CFG)
+        answered = []
+        *_, forks = _trained_at(2, tm, config=self.CFG, answered=answered)
         assert forks == 1
+        assert answered
         assert open_fds() == before
         assert_no_child()
+
+    def test_a_root_at_the_helped_cutoff_forks_no_helper(self, rng):
+        tm = self._matrix(rng, n=K.SMALL_NODE_ROWS // 2)
+        _, serial, _ = _trained_at(1, tm, config=self.CFG)
+        answered = []
+        _, helped, forks = _trained_at(2, tm, config=self.CFG, answered=answered)
+        assert helped == serial
+        assert forks == 0 and not answered
 
     def test_a_failing_search_still_reaps_the_helper(self, rng, monkeypatch):
         tm = self._matrix(rng)
         real = model_module.K.best_split
-        calls = []
+        calls, answered = [], []
 
         def fails_fifth(*args):
             calls.append(1)
@@ -688,15 +785,17 @@ class TestSplitHelper:
         monkeypatch.setattr(model_module.K, "best_split", fails_fifth)
         before = open_fds()
         with pytest.raises(RuntimeError, match="^fifth search$"):
-            _trained_at(2, tm, config=self.CFG)
+            _trained_at(2, tm, config=self.CFG, answered=answered)
         assert len(calls) == 5
+        assert answered
         assert open_fds() == before
         assert_no_child()
 
     def test_a_killed_helper_is_reported(self, rng, monkeypatch):
         tm = self._matrix(rng)
         real_fork, real_search = os.fork, model_module.K.best_split
-        pids, calls = [], []
+        real_merge = model_module._first_best
+        pids, calls, answered = [], [], []
 
         def fork():
             pid = real_fork()
@@ -709,11 +808,16 @@ class TestSplitHelper:
                 os.kill(pids[0], signal.SIGKILL)
             return real_search(*args)
 
+        def merge(mine, theirs):
+            answered.append(1)
+            return real_merge(mine, theirs)
+
         def too_slow(signum, frame):
             raise TimeoutError("the train waited on a dead helper")
 
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(model_module.K, "best_split", kills_third)
+        monkeypatch.setattr(model_module, "_first_best", merge)
         monkeypatch.setattr(model_module._fork, "worker_count", lambda: 2)
         before = open_fds()
         old = signal.signal(signal.SIGALRM, too_slow)
@@ -725,6 +829,7 @@ class TestSplitHelper:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, old)
         assert str(exc.value) == "the split helper was killed by signal SIGKILL"
+        assert answered
         assert open_fds() == before
         assert_no_child()
 
