@@ -3,6 +3,12 @@
 The exact greedy split search and the ensemble margin evaluation dominate
 runtime. Both are checked against the scalar walks in ``tests/oracles.py``.
 
+``predict_margin`` is the one walk of a finished tree: scoring a model,
+replaying the trees ``model.train`` reuses, adding each tree it grows to
+the training margins, and ``model.loss_curve`` all call it on the
+``model.Tree`` objects themselves, so every caller adds the same leaf
+weights in the same order.
+
 The split search has two paths that return the same bits. At the sizes this
 project trains on, both are bound by the count of numpy calls rather than by
 arithmetic, so each is written to make few of them.
@@ -181,23 +187,27 @@ def _scan_batched(X, ranks, rows, g, h, g_total, h_total, active, lam, gamma, mi
     return best
 
 
-def predict_margin_numpy(X, feat, thr, dleft, left, right, wt, roots, base):
-    """Ensemble margins: ``base`` plus the leaf weight each tree gives each row."""
+def predict_margin_numpy(X, trees, base):
+    """``base`` (one number, or one margin per row) plus the leaf weight each
+    of ``trees`` gives each row of ``X``, added tree by tree in order.
+
+    Each ``model.Tree`` is walked in its own arrays from its root, node 0.
+    """
     n = X.shape[0]
     out = np.full(n, base, dtype=np.float64)
     row_ix = np.arange(n)
-    for t in range(roots.size):
-        idx = np.full(n, roots[t], dtype=np.int64)
+    for tree in trees:
+        idx = np.zeros(n, dtype=np.int64)
         while True:
-            f = feat[idx]
+            f = tree.feature[idx]
             internal = f >= 0
             if not internal.any():
                 break
             x = X[row_ix, np.where(internal, f, 0)]
-            go_left = np.where(np.isnan(x), dleft[idx], x < thr[idx])
-            step = np.where(go_left, left[idx], right[idx])
+            go_left = np.where(np.isnan(x), tree.default_left[idx], x < tree.threshold[idx])
+            step = np.where(go_left, tree.left[idx], tree.right[idx])
             idx = np.where(internal, step, idx)
-        out += wt[idx]
+        out += tree.weight[idx]
     return out
 
 

@@ -56,6 +56,7 @@ from fortress.data import (
     VAL,
     PartitionAssignment,
     SnapshotDataset,
+    entities_in_partition,
     partition_entities,
     read_dataset,
     write_csv,
@@ -194,8 +195,7 @@ class _Run:
     def entities(self, dataset: SnapshotDataset) -> list[str]:
         if self.part == "all":
             return sorted(dataset.entities)
-        part = set(self.partition_of(dataset).entities_in(self.part))
-        entities = sorted(part & set(dataset.entities))
+        entities = entities_in_partition(dataset, self.partition_of(dataset), self.part)
         if not entities:
             raise ValueError(f"no dataset entity falls in partition {self.part!r}")
         return entities

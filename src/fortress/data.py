@@ -373,13 +373,20 @@ def _partition_units(salt: str, entity_ids: Sequence[str]) -> np.ndarray:
     return h.astype(np.float64) / 2.0**64
 
 
+def entities_in_partition(
+    dataset: SnapshotDataset, assignment: PartitionAssignment, part: str
+) -> list[str]:
+    """The dataset's entities that ``assignment`` puts in ``part``, in
+    ascending id order."""
+    wanted = set(assignment.entities_in(part))
+    return [e for e in dataset.entities if e in wanted]
+
+
 def rows_in_partition(
     dataset: SnapshotDataset, assignment: PartitionAssignment, part: str
 ) -> np.ndarray:
     """Row indices of all rows whose entity falls in ``part``."""
-    wanted = set(assignment.entities_in(part))
-    keep = [e for e in dataset.entities if e in wanted]
-    return dataset.rows_for(keep)
+    return dataset.rows_for(entities_in_partition(dataset, assignment, part))
 
 
 def build_dataset(

@@ -55,20 +55,6 @@ class ConfidenceInterval:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "ConfidenceInterval":
-        try:
-            return cls(
-                point=float(doc["point"]),
-                lo=float(doc["lo"]),
-                hi=float(doc["hi"]),
-                level=float(doc["level"]),
-                resamples=int(doc["resamples"]),
-                seed=int(doc["seed"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed confidence interval document: {exc}") from None
-
 
 @dataclass
 class PairedDelta:

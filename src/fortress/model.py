@@ -257,7 +257,6 @@ class BoostedModel:
     config: TrainConfig
     trees: list[Tree]
     rounds_reused: int = field(default=0, repr=False, compare=False)
-    _arena: tuple | None = field(default=None, repr=False, compare=False)
     # weak reference to the TrainMatrix the model was trained on; a later
     # train() may reuse its trees only on that same matrix
     _matrix: weakref.ref | None = field(default=None, repr=False, compare=False)
@@ -301,47 +300,8 @@ class BoostedModel:
             used.update(int(f) for f in tree.feature if f >= 0)
         return tuple(sorted(used))
 
-    def _ensure_arena(self) -> tuple:
-        if self._arena is None:
-            if self.trees:
-                roots = np.zeros(len(self.trees), dtype=np.int64)
-                offset = 0
-                feats, thrs, dls, lefts, rights, wts = [], [], [], [], [], []
-                for t, tree in enumerate(self.trees):
-                    roots[t] = offset
-                    feats.append(tree.feature)
-                    thrs.append(tree.threshold)
-                    dls.append(tree.default_left)
-                    shift = np.where(tree.left >= 0, offset, 0)
-                    lefts.append(tree.left + shift)
-                    rights.append(tree.right + np.where(tree.right >= 0, offset, 0))
-                    wts.append(tree.weight)
-                    offset += tree.n_nodes
-                self._arena = (
-                    np.concatenate(feats),
-                    np.concatenate(thrs),
-                    np.concatenate(dls),
-                    np.concatenate(lefts),
-                    np.concatenate(rights),
-                    np.concatenate(wts),
-                    roots,
-                )
-            else:
-                self._arena = (
-                    np.empty(0, np.int64),
-                    np.empty(0, np.float64),
-                    np.empty(0, np.bool_),
-                    np.empty(0, np.int64),
-                    np.empty(0, np.int64),
-                    np.empty(0, np.float64),
-                    np.empty(0, np.int64),
-                )
-        return self._arena
-
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_matrix(X)
-        feat, thr, dl, left, right, wt, roots = self._ensure_arena()
-        return K.predict_margin(X, feat, thr, dl, left, right, wt, roots, self.base_score)
+        return K.predict_margin(self._check_matrix(X), self.trees, self.base_score)
 
     def predict(self, X: np.ndarray | Sequence[float]) -> np.ndarray | float:
         """Probability of the positive class for a row or a matrix of rows.
@@ -582,11 +542,11 @@ def train(
         rounds_reused=len(prefix),
         _matrix=weakref.ref(tm),
     )
-    # Replaying the reused trees with the kernel that accumulated them during
-    # their own training reproduces the margins bit for bit.
-    margins = np.full(n, base_score, dtype=np.float64)
-    for tree in prefix:
-        margins = margins + _tree_margin(tree, tm.X)
+    # Training adds each tree's leaf weights to the margins with the kernel
+    # that scores the model, one tree at a time in order; replaying the
+    # reused trees with it in one call makes the same additions, so the
+    # margins are the ones their own training left, bit for bit.
+    margins = K.predict_margin(tm.X, prefix, base_score)
 
     root_rows = n
     if config.row_subsample < 1.0:
@@ -660,7 +620,7 @@ def train(
             del grow
             tree = builder.finish()
             model.trees.append(tree)
-            margins = margins + _tree_margin(tree, tm.X)
+            margins = K.predict_margin(tm.X, (tree,), margins)
     finally:
         if helper is not None:
             helper.close()
@@ -701,21 +661,6 @@ def _reusable_prefix(
     return prefix
 
 
-def _tree_margin(tree: Tree, X: np.ndarray) -> np.ndarray:
-    roots = np.zeros(1, dtype=np.int64)
-    return K.predict_margin(
-        X,
-        tree.feature,
-        tree.threshold,
-        tree.default_left,
-        tree.left,
-        tree.right,
-        tree.weight,
-        roots,
-        0.0,
-    )
-
-
 def log_loss_from_margins(margins: np.ndarray, y: np.ndarray) -> float:
     """Mean logistic loss computed stably from raw margins."""
     m = np.asarray(margins, dtype=np.float64)
@@ -726,15 +671,16 @@ def log_loss_from_margins(margins: np.ndarray, y: np.ndarray) -> float:
 def loss_curve(model: BoostedModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Training-style loss after each round, replaying trees in order.
 
-    Margins are accumulated tree by tree with the same kernel the trainer used,
-    so on the training set this reproduces the in-training trajectory exactly.
+    Each tree is added to the margins with ``K.predict_margin``, the call
+    the trainer makes after growing it, so on the training set this
+    reproduces the in-training trajectory exactly.
     """
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
     yv = np.asarray(y, dtype=np.float64)
     margins = np.full(X.shape[0], model.base_score, dtype=np.float64)
     losses = np.empty(len(model.trees), dtype=np.float64)
     for t, tree in enumerate(model.trees):
-        margins = margins + _tree_margin(tree, X)
+        margins = K.predict_margin(X, (tree,), margins)
         losses[t] = log_loss_from_margins(margins, yv)
     return losses
 

@@ -61,9 +61,11 @@ from fortress.data import (
     TRAIN,
     VAL,
     TEST,
+    Label,
     PartitionAssignment,
     SnapshotDataset,
     check_fractions,
+    entities_in_partition,
     latest_snapshot_view,
     partition_entities,
     rows_in_partition,
@@ -373,17 +375,30 @@ def fortress_run(
     return _fortress_core(dataset, partition, cfg)
 
 
+def _scored_entities(
+    dataset: SnapshotDataset, partition: PartitionAssignment, part: str
+) -> list[str]:
+    """The dataset's entities in ``part``, whose scores PR-AUC measures:
+    refused when there are none or none of their rows is positive."""
+    entities = entities_in_partition(dataset, partition, part)
+    if not entities:
+        raise ValueError(f"{part} partition is empty")
+    rows = dataset.rows_for(entities)
+    if not np.any(dataset.labels[rows] != Label.BAD):
+        raise ValueError(
+            f"{part} partition has no positive row ({rows.size} rows, "
+            f"{len(entities)} entities); pr_auc is undefined without positive labels"
+        )
+    return entities
+
+
 def _fortress_core(
     dataset: SnapshotDataset, partition: PartitionAssignment, cfg: PipelineConfig
 ) -> FortressResult:
     train_rows = rows_in_partition(dataset, partition, TRAIN)
     if train_rows.size == 0:
         raise ValueError("TRAIN partition is empty")
-    val_entities = sorted(
-        set(partition.entities_in(VAL)) & set(dataset.entities)
-    )
-    if not val_entities:
-        raise ValueError("VAL partition is empty")
+    val_entities = _scored_entities(dataset, partition, VAL)
     y_all = dataset.binary_labels()
     tm = TrainMatrix(dataset.X[train_rows], y_all[train_rows])
     log.info("training baseline on %d TRAIN rows, %d features", tm.n_rows, tm.n_features)
@@ -588,12 +603,18 @@ def experiment_table(
     Rows: stable features only on the latest snapshot, all features on the
     latest snapshot, all features on all snapshots, and the fortress-pruned
     model. Evaluation always happens on the full multi-snapshot TEST rows.
+
+    Raises:
+        ValueError: as :func:`fortress_run`, and before anything is trained
+            for an empty TEST partition or one without positives.
     """
     cfg = config or PipelineConfig()
     sr, _ = feature_groups(dataset.schema)
     if not sr:
         raise ValueError(f"experiment requires at least one {SR_PREFIX}* feature")
     partition = partition_entities(dataset, cfg.fractions, cfg.salt)
+    _scored_entities(dataset, partition, VAL)  # before any train; the core rechecks it
+    test_entities = _scored_entities(dataset, partition, TEST)
 
     latest = latest_snapshot_view(dataset)
     y_latest = latest.binary_labels()
@@ -610,10 +631,6 @@ def experiment_table(
     core = _fortress_core(dataset, partition, cfg)
     m_multi = core.baseline
     m_fortress = core.model
-
-    test_entities = sorted(set(partition.entities_in(TEST)) & set(dataset.entities))
-    if not test_entities:
-        raise ValueError("TEST partition is empty")
 
     named = (
         (ROW_SR_ONLY, m_sr),

@@ -54,21 +54,6 @@ class StabilityReport:
             "feature_cv_ranking": [[name, value] for name, value in self.feature_cv_ranking],
         }
 
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "StabilityReport":
-        try:
-            return cls(
-                percentile=float(doc["percentile"]),
-                per_entity_cv={str(k): float(v) for k, v in doc["per_entity_cv"].items()},
-                cv_threshold=float(doc["cv_threshold"]),
-                high_cv_entities=tuple(doc["high_cv_entities"]),
-                feature_cv_ranking=tuple(
-                    (str(n), float(v)) for n, v in doc["feature_cv_ranking"]
-                ),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed stability report document: {exc}") from None
-
 
 def score_entities(
     model: BoostedModel,

@@ -146,24 +146,25 @@ def reference_best_split(
     return best_gain, best_feature, best_threshold, best_default_left
 
 
-def reference_predict_margin(X, feat, thr, dleft, left, right, wt, roots, base) -> np.ndarray:
+def reference_predict_margin(X, trees, base) -> np.ndarray:
     """Ensemble margins as a scalar walk per row and per tree.
 
-    Same arguments and result as ``fortress._kernels.predict_margin_numpy``:
-    each row starts at ``base`` and adds, tree by tree, the weight of the
-    leaf it reaches. A missing value takes the node's default direction and a
-    present value goes left only when it is strictly below the threshold.
+    Same arguments and result as ``fortress._kernels.predict_margin_numpy``
+    with a scalar ``base``: each row starts at ``base`` and adds, tree by
+    tree, the weight of the leaf it reaches from the tree's root, node 0. A
+    missing value takes the node's default direction and a present value
+    goes left only when it is strictly below the threshold.
     """
     out = np.empty(len(X), dtype=np.float64)
     for i, row in enumerate(X):
         margin = base
-        for root in roots:
-            idx = root
-            while feat[idx] >= 0:
-                x = row[feat[idx]]
-                go_left = dleft[idx] if math.isnan(x) else x < thr[idx]
-                idx = left[idx] if go_left else right[idx]
-            margin += wt[idx]
+        for tree in trees:
+            idx = 0
+            while tree.feature[idx] >= 0:
+                x = row[tree.feature[idx]]
+                go_left = tree.default_left[idx] if math.isnan(x) else x < tree.threshold[idx]
+                idx = tree.left[idx] if go_left else tree.right[idx]
+            margin += tree.weight[idx]
         out[i] = margin
     return out
 

@@ -38,6 +38,7 @@ from fortress.data import (
     TEST,
     PARTS,
     build_dataset,
+    entities_in_partition,
     fnv1a64,
     latest_snapshot_view,
     parse_csv,
@@ -248,6 +249,16 @@ class TestPartitionAssignment:
             for r in rows:
                 assert part.part_of(str(ds.entity_ids[r])) == p
 
+
+    def test_entities_in_partition_are_the_datasets_in_ascending_order(self):
+        # the assignment also holds ids the dataset does not have
+        ds = toy_dataset()
+        part = partition_entities(["zz", "e3", "a0", "e1", "e2"], fractions=(0.0, 1.0, 0.0))
+        assert entities_in_partition(ds, part, VAL) == ["e1", "e2", "e3"]
+        assert entities_in_partition(ds, part, TRAIN) == []
+        assert rows_in_partition(ds, part, VAL).tolist() == list(range(ds.n_rows))
+        with pytest.raises(ValueError, match="unknown partition"):
+            entities_in_partition(ds, part, "DEV")
 
 class TestBuildDataset:
     def test_sorts_rows_to_canonical_order(self, rng):

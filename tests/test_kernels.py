@@ -176,6 +176,32 @@ class TestBatchedSearch:
             got = K.best_split_numpy(*args, (tm.X, tm.ranks, rows))
             assert _split_bits(got) == sentinel
 
+    @pytest.mark.parametrize("n, dtype", [(65534, np.uint16), (65535, np.uint32)])
+    def test_rank_table_widens_at_65535_rows(self, n, dtype):
+        # the largest rank is n, a missing cell's; a node of about 300 rows
+        # that holds each feature's last present row searches the same
+        # either way
+        rng = np.random.default_rng(n)
+        X = rng.random((n, 2))
+        X[:, 1] = np.round(X[:, 1] * 50.0)
+        X[rng.random(n) < 0.01, 0] = np.nan
+        y = (rng.random(n) < 0.5).astype(np.float64)
+        tm = TrainMatrix(X, y)
+        assert tm.ranks.dtype == dtype
+        assert int(tm.ranks.max()) == n
+        assert int(tm.ranks[:, 1].max()) == n - 1
+        _, sort_rows, offsets = tm.presort
+        rows = np.union1d(rng.choice(n, size=300, replace=False), sort_rows[offsets[1:] - 1])
+        in_node = np.zeros(n, dtype=np.bool_)
+        in_node[rows] = True
+        p = rng.random(n)
+        g, h = p - y, p * (1.0 - p)
+        args = (*tm.presort, in_node, g, h, *_node_sums(g, h, rows), np.arange(2),
+                1.0, 0.0, 1e-3)
+        got = K.best_split_numpy(*args, (tm.X, tm.ranks, rows))
+        assert got[1] >= 0
+        assert _split_bits(got) == _split_bits(K.best_split_numpy(*args))
+
 
 def _halves(args):
     """The split searches over ``active[0::2]`` and ``active[1::2]``, the two
@@ -223,18 +249,33 @@ class TestPredictOracle:
         rng = np.random.default_rng(seed)
         X, y = _random_problem(rng, n=150, d=7, missing=0.25)
         model = train(X, y, TrainConfig(rounds=12, max_depth=3, seed=seed))
-        arena = model._ensure_arena()
-        feat, thr, roots = arena[0], arena[1], arena[6]
         Xq = rng.random((60, 7))
         Xq[rng.random((60, 7)) < missing] = np.nan
         # cells exactly at a split threshold, where a present value goes
         # right; the last one of each row is at a root's split, which every
         # walk reaches
-        internal = np.flatnonzero(feat >= 0)
-        split_roots = roots[feat[roots] >= 0]
+        splits = [(int(t.feature[k]), float(t.threshold[k]))
+                  for t in model.trees for k in np.flatnonzero(t.feature >= 0)]
+        root_splits = [(int(t.feature[0]), float(t.threshold[0]))
+                       for t in model.trees if t.feature[0] >= 0]
         for i in range(40):
-            for node in (*rng.choice(internal, size=3), split_roots[i % split_roots.size]):
-                Xq[i, feat[node]] = thr[node]
-        got = K.predict_margin_numpy(Xq, *arena, model.base_score)
-        want = reference_predict_margin(Xq, *arena, model.base_score)
+            picked = [splits[k] for k in rng.choice(len(splits), size=3)]
+            for f, threshold in (*picked, root_splits[i % len(root_splits)]):
+                Xq[i, f] = threshold
+        got = K.predict_margin_numpy(Xq, model.trees, model.base_score)
+        want = reference_predict_margin(Xq, model.trees, model.base_score)
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    def test_tree_by_tree_on_a_margin_base_equals_one_call(self):
+        # model.train adds each tree it grows to a base of per-row margins,
+        # and replays a reused prefix in one call; both must give the bits
+        # of scoring the finished model
+        rng = np.random.default_rng(11)
+        X, y = _random_problem(rng, n=120, d=5, missing=0.2)
+        model = train(X, y, TrainConfig(rounds=8, max_depth=3, seed=11))
+        margins = K.predict_margin_numpy(X, (), model.base_score)
+        for tree in model.trees:
+            margins = K.predict_margin_numpy(X, (tree,), margins)
+        whole = K.predict_margin_numpy(X, model.trees, model.base_score)
+        assert margins.tobytes() == whole.tobytes()
+        assert whole.tobytes() == model.predict_margin(X).tobytes()

@@ -6,6 +6,7 @@ import json
 import logging
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -19,7 +20,10 @@ from fortress import pipeline
 from fortress.data import (
     TEST,
     TRAIN,
+    VAL,
+    Label,
     build_dataset,
+    entities_in_partition,
     latest_snapshot_view,
     partition_entities,
     rows_in_partition,
@@ -385,6 +389,46 @@ def _at_workers(at_cpus, n, run):
     out = run()
     assert_no_child()  # no candidate worker or split helper is left
     return out
+
+
+def _without_positives(dataset, part):
+    """``dataset`` with every entity of ``part`` (in the default split)
+    relabelled BAD, and that partition's row and entity counts."""
+    entities = entities_in_partition(dataset, partition_entities(dataset), part)
+    rows = dataset.rows_for(entities)
+    labels = dataset.labels.copy()
+    labels[rows] = Label.BAD
+    relabelled = build_dataset(
+        dataset.schema, dataset.snapshot_kind, dataset.entity_ids,
+        dataset.snapshot_ids, dataset.regions, labels, dataset.X,
+        sort=False, validate=False,
+    )
+    return relabelled, f"({rows.size} rows, {len(entities)} entities)"
+
+
+class TestPartitionWithoutPositives:
+    """A VAL or TEST partition without a positive row is refused before
+    anything is trained, with a message that names it."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate(SMALL_SYNTH)[0]
+
+    @pytest.fixture(autouse=True)
+    def no_train(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained before refusing the partition")
+
+        monkeypatch.setattr(pipeline, "train", refuse)
+
+    @pytest.mark.parametrize("run, part", [
+        (fortress_run, VAL), (experiment_table, VAL), (experiment_table, TEST),
+    ], ids=["fortress-val", "experiment-val", "experiment-test"])
+    def test_refused_before_any_train(self, dataset, run, part):
+        relabelled, counts = _without_positives(dataset, part)
+        message = f"{part} partition has no positive row {counts}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(relabelled, FAST)
 
 
 def _in_daemon(queue, dataset):
