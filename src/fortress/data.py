@@ -13,15 +13,16 @@ and ``f_eng_*`` for fast-moving engagement features).
 
 The snapshot CSV is read and written in chunks of ``_CHUNK_ROWS`` records,
 so this process's memory beyond the dataset itself stays bounded. Where
-``_fork.worker_count`` allows, ``write_csv`` formats chunk-aligned parts of
-the rows in forked children, each holding its part's text until this
-process copies it to the file in blocks. A chunk is parsed with one
-pass per check: each distinct id, region, snapshot id and label is checked
-once, and the feature block is converted by one ``float`` pass and one
-finiteness check. A chunk that fails any check is parsed again record by
-record (``_parse_rows``), which defines every record check and raises its
-message with the record's line number. ``write_csv`` refuses, before it opens
-the file, a dataset whose file ``parse_csv`` would refuse.
+``_fork.worker_count`` allows, ``write_csv`` has the workers of the package's
+one ordered pool, ``_fork.in_order``, format parts of ``_PART_CELLS`` feature
+cells, and writes each part's text to the file in order as it comes back; a
+regular file is replaced only once the whole text is written. A chunk is
+parsed with one pass per check: each distinct id, region, snapshot id and
+label is checked once, and the feature block is converted by one ``float``
+pass and one finiteness check. A chunk that fails any check is parsed again
+record by record (``_parse_rows``), which defines every record check and
+raises its message with the record's line number. ``write_csv`` refuses,
+before it opens the file, a dataset whose file ``parse_csv`` would refuse.
 
 ``read_dataset`` is the reader the CLI uses: the first read of a regular
 file parses it and stores the dataset in a sidecar next to it,
@@ -46,7 +47,6 @@ import math
 import os
 import re
 import stat
-import struct
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -111,15 +111,13 @@ _LABEL_CODES_TEXT = ", ".join(f"{l.value} ({l.name})" for l in Label)
 # about 1 MB more peak RSS at 256 records per chunk and 5 MB more at 1,024
 # than record by record, and the same at 64.
 _CHUNK_ROWS = 64
-# Cells below which a part of write_csv costs less to format than to fork a
-# process for. On a 2-vCPU guest, two parts beat one from about 340 rows of
-# 25 features, at any parent RSS from 40 to 240 MB; at 100 MB, the median of
-# 15 writes went 4.23 -> 4.40 ms at 320 rows and 4.70 -> 4.19 ms at 352.
-_FORK_MIN_CELLS = 170 * 25
-# A forked CSV part's byte count, then blocks of at most _COPY_BLOCK bytes
-# that the parent copies from the child's pipe to the file.
-_LENGTH = struct.Struct("=Q")
-_COPY_BLOCK = 1 << 16
+# The most feature cells in a part of write_csv, the unit one pool worker
+# formats (in whole chunks, at least one). A file of one part is written in
+# this process without a fork. On a 2-vCPU guest, parts of 1,024 rows of 25
+# features wrote 12,000 rows as fast as 256- or 512-row parts and faster
+# than 192-row ones, and they leave files of up to 1,024 rows serial, where
+# a fork saves little or nothing.
+_PART_CELLS = 1024 * 25
 _RESERVED_FIELDS = itemgetter(*range(len(RESERVED_COLUMNS)))
 _FEATURE_FIELDS = itemgetter(slice(len(RESERVED_COLUMNS), None))
 _MISSING_AS_NAN = {"": "nan"}
@@ -903,33 +901,38 @@ def _format_rows(dataset: SnapshotDataset, start: int, stop: int) -> Iterator[by
         ]).encode("utf-8")
 
 
-class _CsvPart(_fork.Child):
-    """A forked process that formats rows ``start:stop`` in its own memory
-    and sends them back on its reply pipe: the byte count as a ``_LENGTH``
-    record, then the bytes. The parent alone writes the file."""
-
-    def __init__(self, dataset: SnapshotDataset, start: int, stop: int) -> None:
-        self._part = (dataset, start, stop)
-        super().__init__()
-
-    def serve(self, requests: int, replies: int) -> None:
-        text = memoryview(b"".join(_format_rows(*self._part)))
-        os.write(replies, _LENGTH.pack(len(text)))
-        while text:
-            text = text[os.write(replies, text):]
-
-    def copy_to(self, fh) -> None:
-        """Copy the part's bytes to ``fh`` in blocks of ``_COPY_BLOCK``."""
-        length = os.read(self.replies, _LENGTH.size)
-        if len(length) < _LENGTH.size:
-            raise self.died("the CSV formatter")
-        (left,) = _LENGTH.unpack(length)
-        while left:
-            block = os.read(self.replies, min(left, _COPY_BLOCK))
-            if not block:
-                raise self.died("the CSV formatter")
-            fh.write(block)
-            left -= len(block)
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[io.BufferedWriter]:
+    """A binary file whose bytes become ``path``'s only if the block ends
+    without an error, so a failed write leaves a file that was there as it
+    was. A regular file (or none yet) is written to a temporary sibling,
+    which is moved into place then or unlinked on the error; the file keeps
+    the mode ``open(path, "wb")`` gives it. Anything else, such as a pipe or
+    ``/dev/stdout``, is written directly."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with path.open("wb") as fh:
+            yield fh
+        return
+    real = Path(os.path.realpath(path))  # through a symlink, as open() writes
+    tmp = real.with_name(f"{real.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        # 0o666 less the umask: the mode open() creates a file with
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named as open(path, "wb") would name it
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:  # open() keeps an existing file's mode
+                os.fchmod(fd, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_csv(dataset: SnapshotDataset, path: str | Path) -> None:
@@ -939,15 +942,15 @@ def write_csv(dataset: SnapshotDataset, path: str | Path) -> None:
     ``parse_csv(write_csv(ds)) == ds`` field for field, including missing
     values. Rows are formatted in chunks of ``_CHUNK_ROWS``.
 
-    The rows are split into contiguous, chunk-aligned parts, one per
-    process that ``_fork.worker_count`` allows, each at least
-    ``_FORK_MIN_CELLS`` cells (so where it allows one, or for a small
-    dataset, there is one part). This process writes the header, forks a
-    :class:`_CsvPart` for every part after the first, and formats the first
-    itself; then it copies each child's bytes to the file in order. Every
-    part is formatted by :func:`_format_rows`, so the file is the serial
-    write's, byte for byte, and every child is reaped before this returns
-    or raises.
+    The rows are cut into the fewest contiguous parts of whole chunks that
+    keep each to at most ``_PART_CELLS`` feature cells, as even as whole
+    chunks allow. :func:`_fork.in_order` formats each part with
+    :func:`_format_rows`, on forked workers where ``_fork.worker_count``
+    allows two or more and there are two or more parts, else in this
+    process; this process writes the header and then the parts in order.
+    So the file is the serial write's, byte for byte, and every worker is
+    reaped before this returns or raises. A regular file is replaced only
+    once every part is written (see :func:`_replacing`).
 
     Raises:
         ValueError: before the file is opened, if ``parse_csv`` would refuse
@@ -958,22 +961,17 @@ def write_csv(dataset: SnapshotDataset, path: str | Path) -> None:
     path = Path(path)
     _check_writable(dataset, path)
     chunks = -(-dataset.n_rows // _CHUNK_ROWS)
-    parts = max(1, min(_fork.worker_count(), chunks, dataset.X.size // _FORK_MIN_CELLS))
-    bounds = [min(dataset.n_rows, chunks * i // parts * _CHUNK_ROWS) for i in range(parts + 1)]
-    with path.open("wb") as fh, contextlib.ExitStack() as children:
+    part_chunks = max(1, _PART_CELLS // (_CHUNK_ROWS * max(1, dataset.n_features)))
+    parts = max(1, -(-chunks // part_chunks))
+    bounds = [min(dataset.n_rows, chunks * k // parts * _CHUNK_ROWS) for k in range(parts + 1)]
+
+    def part(k: int) -> bytes:
+        return b"".join(_format_rows(dataset, bounds[k], bounds[k + 1]))
+
+    with _replacing(path) as fh, \
+            _fork.in_order(part, range(parts), lambda k: "the CSV formatter") as texts:
         fh.write((",".join(RESERVED_COLUMNS + dataset.schema) + "\n").encode("utf-8"))
-        fh.flush()  # a child gets nothing buffered
-        forked: list[_CsvPart] = []
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            try:
-                forked.append(_CsvPart(dataset, start, stop))
-            except OSError:  # no process to spare after all: format the rest here
-                break
-            children.callback(forked[-1].close)
-        fh.writelines(_format_rows(dataset, bounds[0], bounds[1]))
-        for part in forked:
-            part.copy_to(fh)
-        fh.writelines(_format_rows(dataset, bounds[1 + len(forked)], bounds[-1]))
+        fh.writelines(texts)
 
 
 def latest_snapshot_view(dataset: SnapshotDataset) -> SnapshotDataset:

@@ -23,18 +23,19 @@ A candidate the current model never splits on would be retrained into the
 current model itself (every tree taken over), so it is settled in this
 process without a retrain: its VAL scores and CV are the current ones, and
 its paired bootstrap compares the current scores with themselves. The other
-candidates are evaluated ahead of the one being decided, on forked worker
-processes: one per CPU in the process's affinity set (``taskset`` restricts
-them), at most one per candidate left to retrain, and none when no such
-candidate is left. The gate still commits strictly in candidate order. An
-acceptance drops the results computed against the old model, classifies the
-remaining candidates again, and restarts from the next candidate, so every
-artifact is byte-identical to a serial pass. Where ``_fork.worker_count``
-allows no second process (one CPU, no ``fork``, a forked child or a daemonic
-process, other threads running), the pass runs serially in the calling
-process. The same rule lets ``model.train`` share each split search with a
-forked helper, so a train in this process uses a spare CPU while a
-candidate worker, itself a ``_fork.Child``, trains serially.
+candidates are evaluated ahead of the one being decided, on the forked
+workers of ``_fork.in_order``, the package's one ordered pool: one per CPU
+in the process's affinity set (``taskset`` restricts them), at most one per
+candidate left to retrain, and none when no such candidate is left. The
+gate still commits strictly in candidate order. An acceptance drops the
+results computed against the old model, classifies the remaining candidates
+again, and restarts from the next candidate, so every artifact is
+byte-identical to a serial pass. Where ``_fork.worker_count`` allows no
+second process (one CPU, no ``fork``, a forked child or a daemonic process,
+other threads running), the pass runs serially in the calling process. The
+same rule lets ``model.train`` share each split search with a forked
+helper, so a train in this process uses a spare CPU while a candidate
+worker, itself a ``_fork.Child``, trains serially.
 
 ``experiment_table`` reruns the surrounding comparisons (single-snapshot and
 multi-snapshot trainings, full and stable-only feature sets) and evaluates
@@ -43,13 +44,10 @@ everything on the same TEST partition.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import logging
-import os
-import pickle
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -263,95 +261,6 @@ def _keeps_every_tree(
     return len(_reusable_prefix(model, tm, config, mask)) == config.rounds
 
 
-@contextlib.contextmanager
-def _in_candidate_order(
-    evaluate: Callable[[int], Any], indices: Sequence[int], names: Sequence[str]
-) -> Iterator[Iterator[Any]]:
-    """Yield an iterator of ``evaluate(i)`` for ``i`` in ``indices``, in order.
-
-    Where ``_fork.worker_count`` allows more than one worker, the
-    evaluations run ahead on forked :class:`_Worker` processes, which
-    inherit ``evaluate`` and its state instead of receiving it pickled; only
-    the index goes in and the result comes back. This process starts no
-    thread for them: it hands the next index to whichever worker is idle
-    while it waits for the result it needs. A worker that dies raises
-    ``ChildProcessError`` naming ``names[i]`` of its index. Leaving the block
-    kills the workers, dropping the evaluations still in flight.
-    Otherwise, and where a fork fails before two workers have started, the
-    same results come from ``map`` in this process.
-    """
-    count = min(_fork.worker_count(), len(indices))
-    with contextlib.ExitStack() as stack:
-        workers: list[_Worker] = []
-        while count > 1 and len(workers) < count:
-            try:
-                workers.append(_Worker(evaluate))
-            except OSError:  # no process to spare after all: keep those started
-                break
-            stack.callback(workers[-1].close)
-        if len(workers) < 2:
-            stack.close()
-            yield map(evaluate, indices)
-        else:
-            yield _dispatch(workers, indices, names)
-
-
-class _Worker(_fork.Child):
-    """A forked process that answers each 8-byte candidate index ``i`` with
-    the pickle of ``(True, evaluate(i))`` or ``(False, the exception)``."""
-
-    def __init__(self, evaluate: Callable[[int], Any]) -> None:
-        self._evaluate = evaluate
-        super().__init__()
-        self.reader = open(self.replies, "rb", closefd=False)
-
-    def serve(self, requests: int, replies: int) -> None:
-        with open(replies, "wb", closefd=False) as out:
-            while msg := os.read(requests, 8):
-                try:
-                    reply = (True, self._evaluate(int.from_bytes(msg, "little")))
-                except Exception as exc:
-                    reply = (False, exc)
-                out.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
-                out.flush()
-
-
-def _dispatch(workers: list[_Worker], indices: Sequence[int], names: Sequence[str]) -> Iterator[Any]:
-    """Results for ``indices`` in order, from ``workers`` fed one index at
-    a time."""
-    import select  # here, so that a process that never forks workers skips it
-    todo = iter(indices)
-    busy: dict[int, tuple[_Worker, int]] = {}  # reply pipe -> worker, its index
-    done: dict[int, tuple[bool, Any]] = {}
-
-    def lost(worker: _Worker, i: int) -> ChildProcessError:
-        return worker.died(f"the worker retraining candidate {names[i]}")
-
-    def send(worker: _Worker, i: int) -> None:
-        try:
-            os.write(worker.requests, i.to_bytes(8, "little"))
-        except BrokenPipeError:
-            raise lost(worker, i) from None
-        busy[worker.replies] = worker, i
-
-    for worker, i in zip(workers, todo):
-        send(worker, i)
-    for i in indices:
-        while i not in done:
-            for fd in select.select(list(busy), [], [])[0]:
-                worker, j = busy.pop(fd)
-                try:
-                    done[j] = pickle.load(worker.reader)
-                except (EOFError, pickle.UnpicklingError):
-                    raise lost(worker, j) from None
-                if (nxt := next(todo, None)) is not None:
-                    send(worker, nxt)
-        ok, value = done.pop(i)
-        if not ok:
-            raise value
-        yield value
-
-
 def fortress_run(
     dataset: SnapshotDataset,
     config: PipelineConfig | None = None,
@@ -366,8 +275,10 @@ def fortress_run(
     partitioned with the configured fractions and salt.
 
     Raises:
-        ValueError: empty partitions, single-class training labels, VAL
-            without positives, or invalid configuration.
+        ValueError: empty partitions, single-class training labels, or
+            invalid configuration; and, before anything is trained, a VAL
+            partition with fewer than 2 entities, no positive row or no
+            entity with 2 or more snapshots.
     """
     cfg = config or PipelineConfig()
     if partition is None:
@@ -376,18 +287,31 @@ def fortress_run(
 
 
 def _scored_entities(
-    dataset: SnapshotDataset, partition: PartitionAssignment, part: str
+    dataset: SnapshotDataset, partition: PartitionAssignment, part: str, cv: bool = False
 ) -> list[str]:
-    """The dataset's entities in ``part``, whose scores PR-AUC measures:
-    refused when there are none or none of their rows is positive."""
+    """The dataset's entities in ``part``, whose scores PR-AUC measures with
+    an entity bootstrap: refused when there are fewer than 2 or none of
+    their rows is positive, and, with ``cv``, when none of them has the 2
+    or more snapshots a score CV needs."""
     entities = entities_in_partition(dataset, partition, part)
     if not entities:
         raise ValueError(f"{part} partition is empty")
     rows = dataset.rows_for(entities)
+    counts = f"({rows.size} rows, {len(entities)} entities)"
+    if len(entities) < 2:
+        raise ValueError(
+            f"{part} partition has too few entities {counts}; "
+            f"the entity bootstrap needs at least 2"
+        )
     if not np.any(dataset.labels[rows] != Label.BAD):
         raise ValueError(
-            f"{part} partition has no positive row ({rows.size} rows, "
-            f"{len(entities)} entities); pr_auc is undefined without positive labels"
+            f"{part} partition has no positive row {counts}; "
+            f"pr_auc is undefined without positive labels"
+        )
+    if cv and not any(stop - start >= 2 for start, stop in map(dataset.index.get, entities)):
+        raise ValueError(
+            f"{part} partition has no entity with 2 or more snapshots {counts}; "
+            f"the entity score CV is undefined"
         )
     return entities
 
@@ -398,7 +322,7 @@ def _fortress_core(
     train_rows = rows_in_partition(dataset, partition, TRAIN)
     if train_rows.size == 0:
         raise ValueError("TRAIN partition is empty")
-    val_entities = _scored_entities(dataset, partition, VAL)
+    val_entities = _scored_entities(dataset, partition, VAL, cv=True)
     y_all = dataset.binary_labels()
     tm = TrainMatrix(dataset.X[train_rows], y_all[train_rows])
     log.info("training baseline on %d TRAIN rows, %d features", tm.n_rows, tm.n_features)
@@ -450,6 +374,9 @@ def _fortress_core(
         cv2 = mean_entity_cv(dataset.split_by_entity(val_entities, scores2))
         return outcome, cv2, scores2, tentative.trees, tentative.rounds_reused
 
+    def worker_phrase(i: int) -> str:
+        return f"the worker retraining candidate {candidates[i]}"
+
     iterations: list[PruneIteration] = []
     start = 0
     while start < len(candidates):
@@ -460,7 +387,7 @@ def _fortress_core(
         }
         step = functools.partial(evaluate, cur_model, cur_scores, cur_mask)
         retrain = [i for i in remaining if i not in unchanged]
-        with _in_candidate_order(step, retrain, candidates) as retrained:
+        with _fork.in_order(step, retrain, worker_phrase) as retrained:
             for i in remaining:
                 if i in unchanged:
                     # what evaluate(i) returns, without retraining or scoring
@@ -606,14 +533,15 @@ def experiment_table(
 
     Raises:
         ValueError: as :func:`fortress_run`, and before anything is trained
-            for an empty TEST partition or one without positives.
+            for a TEST partition with fewer than 2 entities or no positive
+            row.
     """
     cfg = config or PipelineConfig()
     sr, _ = feature_groups(dataset.schema)
     if not sr:
         raise ValueError(f"experiment requires at least one {SR_PREFIX}* feature")
     partition = partition_entities(dataset, cfg.fractions, cfg.salt)
-    _scored_entities(dataset, partition, VAL)  # before any train; the core rechecks it
+    _scored_entities(dataset, partition, VAL, cv=True)  # before any train; the core rechecks it
     test_entities = _scored_entities(dataset, partition, TEST)
 
     latest = latest_snapshot_view(dataset)

@@ -377,9 +377,9 @@ class TestGen:
         "t.json": "a4aee1dd50a8c5a062b2ccb88517db6c234208e8f34297a26f00d9db02a90fe4",
     }
 
-    def _gen(self, tmp_path):
+    def _gen(self, tmp_path, n_entities=60):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"synth": {"n_entities": 60}}))
+        cfg.write_text(json.dumps({"synth": {"n_entities": n_entities}}))
         return main(["gen", "--seed", "42", "--config", str(cfg), "--out", str(tmp_path / "d.csv"),
                      "--truth", str(tmp_path / "t.json")])
 
@@ -402,12 +402,13 @@ class TestGen:
 
         monkeypatch.setattr(data_module, "_format_rows", killed_in_a_child)
         at_cpus(2)
-        assert self._gen(tmp_path) == 2
+        # 1,040 rows: two parts, so two formatters
+        assert self._gen(tmp_path, n_entities=130) == 2
         assert capsys.readouterr().err == (
             "fortress: worker error: the CSV formatter was killed by signal SIGKILL\n"
         )
         assert_no_child()
-        assert not (tmp_path / "t.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]  # no CSV, whole or in part
 
 
 class TestAnalysisPinned:

@@ -13,6 +13,7 @@ import math
 import os
 import re
 import signal
+import stat
 import string
 import threading
 from unittest import mock
@@ -27,7 +28,7 @@ from fortress import _fork, data as data_module
 from fortress.data import (
     CACHE_SUFFIX,
     _CHUNK_ROWS,
-    _FORK_MIN_CELLS,
+    _PART_CELLS,
     _parse_rows,
     _screen_rows,
     Label,
@@ -689,11 +690,17 @@ class TestChunkedCsv:
         assert not path.exists()
 
 
+def _part_rows(d: int) -> int:
+    """The most rows of a ``write_csv`` part of ``d`` features: whole
+    chunks of at most ``_PART_CELLS`` feature cells, and at least one."""
+    return _CHUNK_ROWS * max(1, _PART_CELLS // (_CHUNK_ROWS * d))
+
+
 def _rows_around_the_crossover(d: int):
     """Row counts of ``d`` features just below and above one, two and three
-    parts' worth of ``_FORK_MIN_CELLS``; they stop anywhere in a chunk."""
+    parts; they stop anywhere in a chunk."""
     return st.sampled_from(sorted(
-        k * _FORK_MIN_CELLS // d + delta for k in (1, 2, 3) for delta in (-1, 1, 37)
+        k * _part_rows(d) + delta for k in (1, 2, 3) for delta in (-1, 1, 37)
     ))
 
 
@@ -730,13 +737,13 @@ class _WriteInChild(_fork.Child):
     reason="needs fork and /proc/self/fd",
 )
 class TestParallelWrite:
-    """A write whose parts are formatted by forked children writes the serial
+    """A write whose parts are formatted by forked workers writes the serial
     write's bytes, and leaves no process or pipe behind."""
 
     @staticmethod
     def _big() -> SnapshotDataset:
-        # 800 rows of 25 features: four parts' worth of cells
-        return generate(SynthConfig(n_entities=100, seed=3))[0]
+        # 4,160 rows of 25 features: five parts of 832 rows
+        return generate(SynthConfig(n_entities=520, seed=3))[0]
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -752,8 +759,9 @@ class TestParallelWrite:
             written.append(path.read_bytes())
             assert open_fds() == before
             assert_no_child()
-            chunks = -(-ds.n_rows // _CHUNK_ROWS)
-            assert len(forks) == max(1, min(cpus, chunks, ds.X.size // _FORK_MIN_CELLS)) - 1
+            # one worker per part up to the CPUs, and none for a single part
+            workers = min(cpus, -(-ds.n_rows // _part_rows(ds.n_features)))
+            assert len(forks) == (workers if workers > 1 else 0)
         assert written[0].decode() == _reference_write(ds)
         assert written[1] == written[0] and written[2] == written[0]
 
@@ -807,9 +815,12 @@ class TestParallelWrite:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def _dies(self, tmp_path, at_cpus):
-        """The ``ChildProcessError`` of a write at 3 CPUs, after checking that
-        the write left no process or pipe behind."""
+        """The ``ChildProcessError`` of a write at 3 CPUs over an existing
+        file, after checking that the write left no process or pipe behind,
+        and the file and its directory as they were."""
         at_cpus(3)
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"a prior file\n")
         before = open_fds()
 
         def too_slow(signum, frame):
@@ -819,40 +830,102 @@ class TestParallelWrite:
         signal.alarm(60)
         try:
             with pytest.raises(ChildProcessError) as exc:
-                write_csv(self._big(), tmp_path / "a.csv")
+                write_csv(self._big(), path)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, old)
         assert open_fds() == before
         assert_no_child()
+        assert path.read_bytes() == b"a prior file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
         return str(exc.value)
 
-    def test_a_killed_formatter_is_reported(self, tmp_path, at_cpus, monkeypatch):
+    @staticmethod
+    def _in_a_child(monkeypatch, die):
+        """Make ``_format_rows`` call ``die()`` in any process but this one."""
         parent, real = os.getpid(), data_module._format_rows
 
-        def killed_in_a_child(*args):
+        def format_rows(*args):
             if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
+                die()
             return real(*args)
 
-        monkeypatch.setattr(data_module, "_format_rows", killed_in_a_child)
+        monkeypatch.setattr(data_module, "_format_rows", format_rows)
+
+    def test_a_killed_formatter_is_reported(self, tmp_path, at_cpus, monkeypatch):
+        self._in_a_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
         assert self._dies(tmp_path, at_cpus) == "the CSV formatter was killed by signal SIGKILL"
 
-    def test_a_short_stream_is_reported(self, tmp_path, at_cpus, monkeypatch):
-        real = data_module._LENGTH
-
-        class Overstated:
-            """The length record of a formatter that sends fewer bytes than
-            it announces."""
-            size = real.size
-            unpack = real.unpack
-
-            @staticmethod
-            def pack(n):
-                return real.pack(n + 1)
-
-        monkeypatch.setattr(data_module, "_LENGTH", Overstated)
+    def test_a_formatter_that_exits_without_replying_is_reported(
+        self, tmp_path, at_cpus, monkeypatch
+    ):
+        self._in_a_child(monkeypatch, lambda: os._exit(0))
         assert self._dies(tmp_path, at_cpus) == "the CSV formatter exited with status 0"
+
+
+class TestReplacingWrite:
+    """A regular file is replaced as a whole, with the mode ``open(path,
+    "wb")`` gives it; anything else is written directly."""
+
+    @staticmethod
+    def _expected_mode(tmp_path, existing_mode=None):
+        probe = tmp_path / "probe"
+        if existing_mode is not None:
+            probe.write_bytes(b"old")
+            probe.chmod(existing_mode)
+        with open(probe, "wb"):
+            pass
+        mode = stat.S_IMODE(probe.stat().st_mode)
+        probe.unlink()
+        return mode
+
+    def test_a_new_file_gets_the_mode_open_gives(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            want = self._expected_mode(tmp_path)
+            write_csv(toy_dataset(), tmp_path / "a.csv")
+        finally:
+            os.umask(old)
+        assert want == 0o640
+        assert stat.S_IMODE((tmp_path / "a.csv").stat().st_mode) == want
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_an_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"old")
+        path.chmod(0o604)
+        write_csv(toy_dataset(), path)
+        assert stat.S_IMODE(path.stat().st_mode) == self._expected_mode(tmp_path, 0o604) == 0o604
+        assert path.read_text() == _reference_write(toy_dataset())
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old")
+        link.symlink_to(target.name)
+        write_csv(toy_dataset(), link)
+        assert link.is_symlink()
+        assert target.read_text() == _reference_write(toy_dataset())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_a_missing_directory_is_named_as_given(self, tmp_path):
+        path = tmp_path / "no such dir" / "a.csv"
+        with pytest.raises(FileNotFoundError) as exc:
+            write_csv(toy_dataset(), path)
+        assert exc.value.filename == str(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+    def test_a_fifo_is_written_directly(self, tmp_path):
+        fifo = tmp_path / "a.csv"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open returns
+        try:
+            write_csv(toy_dataset(), fifo)
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert text == _reference_write(toy_dataset())
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
 
 @contextlib.contextmanager

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from conftest import assert_no_child, open_fds
 
-from fortress import pipeline
+from fortress import _fork, pipeline
 from fortress.data import (
     TEST,
     TRAIN,
@@ -406,9 +406,30 @@ def _without_positives(dataset, part):
     return relabelled, f"({rows.size} rows, {len(entities)} entities)"
 
 
+def _trimmed(dataset, part, entities=None, snapshots=None):
+    """``dataset`` with only the first ``entities`` entities of ``part`` (in
+    the default split), each cut to its first ``snapshots`` rows, and that
+    partition's row and entity counts after the cut."""
+    ents = entities_in_partition(dataset, partition_entities(dataset), part)
+    drop = []
+    for k, entity in enumerate(ents):
+        start, stop = dataset.index[entity]
+        keep = 0 if k >= (entities or len(ents)) else (snapshots or stop - start)
+        drop.extend(range(start + keep, stop))
+    rows = np.setdiff1d(np.arange(dataset.n_rows), drop)
+    trimmed = build_dataset(
+        dataset.schema, dataset.snapshot_kind, dataset.entity_ids[rows],
+        dataset.snapshot_ids[rows], dataset.regions[rows], dataset.labels[rows],
+        dataset.X[rows], sort=False, validate=False,
+    )
+    left = entities_in_partition(trimmed, partition_entities(trimmed), part)
+    return trimmed, f"({trimmed.rows_for(left).size} rows, {len(left)} entities)"
+
+
 class TestPartitionWithoutPositives:
-    """A VAL or TEST partition without a positive row is refused before
-    anything is trained, with a message that names it."""
+    """A VAL or TEST partition without a positive row, with fewer than 2
+    entities, or (VAL) without an entity of 2 or more snapshots is refused
+    before anything is trained, with a message that names it."""
 
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -429,6 +450,23 @@ class TestPartitionWithoutPositives:
         message = f"{part} partition has no positive row {counts}"
         with pytest.raises(ValueError, match=re.escape(message)):
             run(relabelled, FAST)
+
+    @pytest.mark.parametrize("run, part", [
+        (fortress_run, VAL), (experiment_table, VAL), (experiment_table, TEST),
+    ], ids=["fortress-val", "experiment-val", "experiment-test"])
+    def test_one_entity_is_refused_before_any_train(self, dataset, run, part):
+        trimmed, counts = _trimmed(dataset, part, entities=1)
+        assert counts.endswith(" 1 entities)")
+        message = f"{part} partition has too few entities {counts}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(trimmed, FAST)
+
+    @pytest.mark.parametrize("run", [fortress_run, experiment_table])
+    def test_val_without_history_is_refused_before_any_train(self, dataset, run):
+        trimmed, counts = _trimmed(dataset, VAL, snapshots=1)
+        message = f"VAL partition has no entity with 2 or more snapshots {counts}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(trimmed, FAST)
 
 
 def _in_daemon(queue, dataset):
@@ -506,7 +544,7 @@ class TestCandidateWorkers:
         dataset, _ = generate(SMALL_SYNTH)
         monkeypatch.setattr(pipeline, "_keeps_every_tree", lambda *args: False)
         serial = _at_workers(at_cpus, 1, lambda: _artifacts(fortress_run(dataset, self.CFG)))
-        started, real_init, real_fork = [], pipeline._Worker.__init__, os.fork
+        started, real_init, real_fork = [], _fork._Worker.__init__, os.fork
 
         def no_fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -519,7 +557,7 @@ class TestCandidateWorkers:
             finally:
                 os.fork = real_fork
 
-        monkeypatch.setattr(pipeline._Worker, "__init__", init)
+        monkeypatch.setattr(_fork._Worker, "__init__", init)
         before = open_fds()
         assert _at_workers(at_cpus, 3, lambda: _artifacts(fortress_run(dataset, self.CFG))) == serial
         assert open_fds() == before
@@ -563,14 +601,14 @@ class TestCandidateWorkers:
         script = """
 import json, os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
-from fortress import pipeline
+from fortress import _fork, pipeline
 from fortress.model import TrainConfig
 from fortress.synth import SynthConfig, generate
-started, real = [], pipeline._Worker.__init__
+started, real = [], _fork._Worker.__init__
 def counted(self, evaluate):
     started.append(1)
     real(self, evaluate)
-pipeline._Worker.__init__ = counted
+_fork._Worker.__init__ = counted
 pipeline._keeps_every_tree = lambda *args: False  # retrain every candidate
 dataset, _ = generate(SynthConfig(n_entities=120, snapshots=3, seed=11))
 cfg = pipeline.PipelineConfig(train=TrainConfig(rounds=8), bootstrap_b=30, candidates=3)
@@ -652,7 +690,7 @@ class TestSettledCandidates:
             raise AssertionError("a worker was started")
 
         seen = _classified(monkeypatch)
-        monkeypatch.setattr(pipeline._Worker, "__init__", no_worker)
+        monkeypatch.setattr(_fork._Worker, "__init__", no_worker)
         settled = _at_workers(at_cpus, 2, run)
         assert len(seen) == self.UNUSED.candidates and all(s for _, s in seen)
         assert settled == retrained
