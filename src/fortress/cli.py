@@ -37,6 +37,9 @@ Conventions shared by all subcommands:
   ``<out>.config.json``, in the schema ``--config`` reads, so that
   ``--config <out>.config.json`` reruns them byte for byte; artifacts
   contain no timestamps.
+* Every output file is replaced only once it is fully written, so a failed
+  command leaves a file it did not finish as it was. JSON inputs must be
+  objects.
 """
 
 from __future__ import annotations
@@ -67,12 +70,12 @@ from fortress.model import (
     BoostedModel,
     TrainConfig,
     TrainMatrix,
-    dumps_canonical,
     load_json,
     load_model,
     mask_from_names,
     save_model,
     train,
+    write_json,
 )
 from fortress.pipeline import (
     NON_INFERIOR,
@@ -103,22 +106,11 @@ _FIELD_FLAGS = ("mode", "percentile", "bootstrap_b")
 # run configs
 
 
-def _read_json_file(path: str | Path) -> dict:
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return doc
-
-
-def _write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(dumps_canonical(doc), encoding="utf-8")
-
-
 def load_run_config(path: str | Path | None) -> dict:
     """Load and validate a run-config JSON; ``None`` yields an empty config."""
     if path is None:
         return {}
-    doc = _read_json_file(path)
+    doc = load_json(path)
     kind = doc.get("kind", _RUN_CONFIG_KIND)
     if kind != _RUN_CONFIG_KIND:
         raise ValueError(f"{path}: a run config has kind {_RUN_CONFIG_KIND!r}, got {kind!r}")
@@ -212,7 +204,7 @@ class _Run:
             pipeline.update(zip(_SPLIT_KEYS, self.split))
         if pipeline:
             doc["pipeline"] = pipeline
-        _write_json(str(out) + ".config.json", doc)
+        write_json(str(out) + ".config.json", doc)
 
 
 def _resolve(args: argparse.Namespace, *sections: str, part: str = "all") -> _Run:
@@ -262,7 +254,7 @@ def _resolve(args: argparse.Namespace, *sections: str, part: str = "all") -> _Ru
         configs["pipeline"] = dataclasses.replace(configs["pipeline"], train=configs["train"])
     partition = None
     if partition_file:
-        partition = PartitionAssignment.from_dict(_read_json_file(partition_file))
+        partition = PartitionAssignment.from_dict(load_json(partition_file))
     return _Run(seed, configs, part, partition, split)
 
 
@@ -283,7 +275,7 @@ def _cmd_gen(args: argparse.Namespace) -> None:
     write_csv(dataset, args.out)
     run.write(args.out)
     if args.truth:
-        _write_json(
+        write_json(
             args.truth,
             {
                 "kind": "planted_truth",
@@ -302,7 +294,7 @@ def _cmd_gen(args: argparse.Namespace) -> None:
 def _cmd_split(args: argparse.Namespace) -> None:
     run = _resolve(args)
     partition = run.partition_of(read_dataset(args.data))
-    _write_json(args.out, partition.to_dict())
+    write_json(args.out, partition.to_dict())
     log.info("partition counts: %s", partition.counts())
 
 
@@ -332,7 +324,7 @@ def _cmd_stability(args: argparse.Namespace) -> None:
     model = load_model(args.model)
     entities = run.entities(dataset)
     report = build_stability_report(model, dataset, entities, percentile=args.percentile)
-    _write_json(args.out, report.to_dict())
+    write_json(args.out, report.to_dict())
     log.info(
         "stability on %d entities (%s scope): threshold %.4f, %d high-CV",
         len(entities), run.part, report.cv_threshold, len(report.high_cv_entities),
@@ -345,7 +337,7 @@ def _cmd_prune(args: argparse.Namespace) -> None:
     result = fortress_run(dataset, run.configs["pipeline"], partition=run.partition)
     save_model(result.model, args.out)
     if args.trace:
-        _write_json(args.trace, result.trace.to_dict())
+        write_json(args.trace, result.trace.to_dict())
     run.write(args.out)
     kept = len(result.trace.final_features)
     total = len(result.trace.initial_features)
@@ -361,7 +353,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     report = evaluate_model(
         model, dataset, entities, b=cfg.bootstrap_b, seed=run.seed, level=cfg.level
     )
-    _write_json(args.out, report.to_dict())
+    write_json(args.out, report.to_dict())
     run.write(args.out)
     log.info(
         "eval on %d entities (%s scope): pr_auc=%.4f", len(entities), run.part,
@@ -397,13 +389,13 @@ def _cmd_flipflop(args: argparse.Namespace) -> None:
     report = rate(model)
     if base is not None:
         comparison = relative_reduction(rate(base), report)
-        _write_json(args.out, comparison.to_dict())
+        write_json(args.out, comparison.to_dict())
         log.info(
             "flip-flop (%s scope) tau=%.4f: base %.4f -> %.4f",
             run.part, tau, comparison.base.overall.rate, comparison.improved.overall.rate,
         )
     else:
-        _write_json(args.out, report.to_dict())
+        write_json(args.out, report.to_dict())
         log.info(
             "flip-flop (%s scope) tau=%.4f: rate %.4f", run.part, tau, report.overall.rate
         )
@@ -413,13 +405,13 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
     run = _resolve(args, "train", "pipeline")
     dataset = read_dataset(args.data)
     result = experiment_table(dataset, run.configs["pipeline"])
-    _write_json(args.out, result.to_dict())
+    write_json(args.out, result.to_dict())
     run.write(args.out)
     log.info("experiment table -> %s", args.out)
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
-    doc = _read_json_file(args.artifact)
+    doc = load_json(args.artifact)
     sys.stdout.write(render(doc))
 
 

@@ -22,7 +22,9 @@ label is checked once, and the feature block is converted by one ``float``
 pass and one finiteness check. A chunk that fails any check is parsed again
 record by record (``_parse_rows``), which defines every record check and
 raises its message with the record's line number. ``write_csv`` refuses,
-before it opens the file, a dataset whose file ``parse_csv`` would refuse.
+before it opens the file, a dataset whose file ``parse_csv`` would refuse,
+and both apply one header rule. ``_replacing`` writes every output file,
+this CSV and ``model.write_json``'s JSON; only the sidecar has its own writer.
 
 ``read_dataset`` is the reader the CLI uses: the first read of a regular
 file parses it and stores the dataset in a sidecar next to it,
@@ -598,6 +600,33 @@ def _screen_rows(
     return list(ents), list(snaps), list(regs), codes, X.reshape(len(rows), -1), chunk_kinds.pop()
 
 
+def _check_header(path: Path, header: Sequence[str]) -> tuple[str, ...]:
+    """The feature columns of a CSV ``header``, after checking the one header
+    rule of :func:`parse_csv` and :func:`write_csv`: the reserved columns,
+    then at least one feature column, each ``f_`` plus the id charset, and
+    no name twice. Raises ``ValueError`` naming ``path`` otherwise."""
+    if len(header) < len(RESERVED_COLUMNS) + 1:
+        raise ValueError(
+            f"{path}: malformed header, expected "
+            f"{','.join(RESERVED_COLUMNS)} plus at least one f_ column"
+        )
+    if tuple(header[: len(RESERVED_COLUMNS)]) != RESERVED_COLUMNS:
+        raise ValueError(
+            f"{path}: malformed header, first columns must be "
+            f"{','.join(RESERVED_COLUMNS)}, got {header[:4]}"
+        )
+    schema = tuple(header[len(RESERVED_COLUMNS):])
+    for name in schema:
+        if not _FEATURE_NAME_RE.fullmatch(name):
+            raise ValueError(
+                f"{path}: feature column {name!r} must match prefix "
+                f"'{FEATURE_PREFIX}' and id charset"
+            )
+    if len(set(schema)) != len(schema):
+        raise ValueError(f"{path}: duplicate feature column names")
+    return schema
+
+
 def _records(path: Path, reader) -> Iterator[list[str]]:
     """The records of a ``csv.reader``, its ``csv.Error`` (such as a field
     over the field size limit) raised as a ``ValueError`` with the line, and
@@ -673,25 +702,7 @@ def parse_csv(path: str | Path, *, digest=None) -> SnapshotDataset:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
-        if len(header) < len(RESERVED_COLUMNS) + 1:
-            raise ValueError(
-                f"{path}: malformed header, expected "
-                f"{','.join(RESERVED_COLUMNS)} plus at least one f_ column"
-            )
-        if tuple(header[: len(RESERVED_COLUMNS)]) != RESERVED_COLUMNS:
-            raise ValueError(
-                f"{path}: malformed header, first columns must be "
-                f"{','.join(RESERVED_COLUMNS)}, got {header[:4]}"
-            )
-        schema = tuple(header[len(RESERVED_COLUMNS):])
-        for name in schema:
-            if not _FEATURE_NAME_RE.fullmatch(name):
-                raise ValueError(
-                    f"{path}: feature column {name!r} must match prefix "
-                    f"'{FEATURE_PREFIX}' and id charset"
-                )
-        if len(set(schema)) != len(schema):
-            raise ValueError(f"{path}: duplicate feature column names")
+        schema = _check_header(path, header)
 
         width = len(header)
         d = len(schema)
@@ -817,7 +828,12 @@ def _load_cache(path: Path, cache: Path) -> tuple[str, SnapshotDataset] | None:
 
 
 def _write_cache(cache: Path, key: str, ds: SnapshotDataset) -> bool:
-    """Store ``ds`` under ``key`` in ``cache``; ``False`` if that failed."""
+    """Store ``ds`` under ``key`` in ``cache``; ``False`` if that failed.
+
+    Not through :func:`_replacing`: the sidecar is a file the user never
+    named, so it keeps ``mkstemp``'s mode 0600 and replaces a symlink at
+    ``cache`` rather than writing through it, as ``_replacing`` would.
+    """
     fields = (np.array(ds.schema, dtype=np.str_), np.array(ds.snapshot_kind), ds.entity_ids,
               ds.snapshot_ids, ds.regions, ds.labels, ds.X)
     tmp = None
@@ -838,15 +854,11 @@ def _write_cache(cache: Path, key: str, ds: SnapshotDataset) -> bool:
 
 
 def _check_writable(dataset: SnapshotDataset, path: Path) -> None:
-    """Refuse a dataset whose file :func:`parse_csv` would refuse, checking
-    each distinct value once. Every value it lets through is written
-    unquoted, so ``write_csv`` can join fields with plain commas."""
-    for name in dataset.schema:
-        if not _FEATURE_NAME_RE.fullmatch(name):
-            raise ValueError(
-                f"{path}: cannot write feature column {name!r}: it must match "
-                f"prefix '{FEATURE_PREFIX}' and id charset"
-            )
+    """Refuse a dataset whose file :func:`parse_csv` would refuse: its
+    header by ``parse_csv``'s own rule, :func:`_check_header`, and its
+    records checking each distinct value once. Every value it lets through
+    is written unquoted, so ``write_csv`` can join fields with plain commas."""
+    _check_header(path, RESERVED_COLUMNS + dataset.schema)
     for column, values in (("entity_id", dataset.entity_ids), ("region", dataset.regions)):
         for value in sorted(set(values.tolist())):
             if not _ID_RE.fullmatch(value):
@@ -954,8 +966,9 @@ def write_csv(dataset: SnapshotDataset, path: str | Path) -> None:
 
     Raises:
         ValueError: before the file is opened, if ``parse_csv`` would refuse
-            the file: an id, region, snapshot id, label code or feature name
-            outside the contract, or an infinite feature value.
+            the file (a bad header with ``parse_csv``'s message): an id,
+            region, snapshot id, label code or header outside the contract,
+            or an infinite feature value.
         ChildProcessError: a formatter died.
     """
     path = Path(path)

@@ -37,6 +37,7 @@ import numpy as np
 
 from fortress import _fork, _kernels as K
 from fortress._config import Config
+from fortress.data import _replacing
 from fortress.rng import spawn
 
 MODEL_SCHEMA_VERSION = 1
@@ -276,23 +277,6 @@ class BoostedModel:
                 "model schema does not match dataset schema; "
                 f"model has {len(self.schema)} features, dataset {len(schema)}"
             )
-
-    def with_trees(
-        self, mask: np.ndarray, trees: Sequence[Tree], rounds_reused: int
-    ) -> "BoostedModel":
-        """The model :func:`train` returns for ``mask`` on this model's matrix
-        and config, given the ``trees`` it grew (in another process, say).
-        The result is bound to the same matrix, so it can warm-start later
-        trains."""
-        return BoostedModel(
-            schema=self.schema,
-            mask=np.array(mask, dtype=np.bool_),
-            base_score=self.base_score,
-            config=self.config,
-            trees=list(trees),
-            rounds_reused=rounds_reused,
-            _matrix=self._matrix,
-        )
 
     def features_used(self) -> tuple[int, ...]:
         used: set[int] = set()
@@ -750,18 +734,21 @@ def deserialize(doc: dict) -> BoostedModel:
 
 
 def save_model(model: BoostedModel, path: str | Path) -> None:
-    Path(path).write_text(dumps_canonical(serialize(model)), encoding="utf-8")
+    write_json(path, serialize(model))
 
 
-def load_json(path: str | Path):
-    """The JSON document in the file at ``path``; ``ValueError`` naming the
-    file when it is not UTF-8 text or not JSON."""
+def load_json(path: str | Path) -> dict:
+    """The JSON object in the file at ``path``; ``ValueError`` naming the
+    file when it is not UTF-8 text, not JSON or not an object."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return doc
 
 
 def load_model(path: str | Path) -> BoostedModel:
@@ -772,3 +759,11 @@ def dumps_canonical(doc: dict) -> str:
     """Deterministic JSON text: sorted keys, shortest-round-trip floats,
     trailing newline. Byte-identical for equal documents."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write ``dumps_canonical(doc)`` to ``path``, the writer of every JSON
+    artifact: as with ``write_csv``, a regular file is replaced only once the
+    whole text is written (see ``data._replacing``)."""
+    with _replacing(Path(path)) as fh:
+        fh.write(dumps_canonical(doc).encode("utf-8"))

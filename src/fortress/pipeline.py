@@ -39,14 +39,16 @@ worker, itself a ``_fork.Child``, trains serially.
 
 ``experiment_table`` reruns the surrounding comparisons (single-snapshot and
 multi-snapshot trainings, full and stable-only feature sets) and evaluates
-everything on the same TEST partition.
+everything on the same TEST partition. Its multi-snapshot rows come from one
+``fortress_run``, the only entry into the greedy pass, so TRAIN and VAL are
+checked in one place, before anything is trained.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -261,31 +263,6 @@ def _keeps_every_tree(
     return len(_reusable_prefix(model, tm, config, mask)) == config.rounds
 
 
-def fortress_run(
-    dataset: SnapshotDataset,
-    config: PipelineConfig | None = None,
-    partition: PartitionAssignment | None = None,
-) -> FortressResult:
-    """Partition, train, analyze stability, and greedily prune features.
-
-    See the module docstring for the procedure. The returned final model is
-    the last accepted model of the greedy pass (identical to retraining on
-    TRAIN with the final mask, since training is deterministic). A
-    pre-computed ``partition`` can be supplied; by default entities are
-    partitioned with the configured fractions and salt.
-
-    Raises:
-        ValueError: empty partitions, single-class training labels, or
-            invalid configuration; and, before anything is trained, a VAL
-            partition with fewer than 2 entities, no positive row or no
-            entity with 2 or more snapshots.
-    """
-    cfg = config or PipelineConfig()
-    if partition is None:
-        partition = partition_entities(dataset, cfg.fractions, cfg.salt)
-    return _fortress_core(dataset, partition, cfg)
-
-
 def _scored_entities(
     dataset: SnapshotDataset, partition: PartitionAssignment, part: str, cv: bool = False
 ) -> list[str]:
@@ -316,9 +293,28 @@ def _scored_entities(
     return entities
 
 
-def _fortress_core(
-    dataset: SnapshotDataset, partition: PartitionAssignment, cfg: PipelineConfig
+def fortress_run(
+    dataset: SnapshotDataset,
+    config: PipelineConfig | None = None,
+    partition: PartitionAssignment | None = None,
 ) -> FortressResult:
+    """Partition, train, analyze stability, and greedily prune features.
+
+    See the module docstring for the procedure. The returned final model is
+    the last accepted model of the greedy pass (identical to retraining on
+    TRAIN with the final mask, since training is deterministic). A
+    pre-computed ``partition`` can be supplied; by default entities are
+    partitioned with the configured fractions and salt.
+
+    Raises:
+        ValueError: single-class training labels or invalid configuration;
+            and, before anything is trained, an empty TRAIN partition or a
+            VAL partition with fewer than 2 entities, no positive row or no
+            entity with 2 or more snapshots.
+    """
+    cfg = config or PipelineConfig()
+    if partition is None:
+        partition = partition_entities(dataset, cfg.fractions, cfg.salt)
     train_rows = rows_in_partition(dataset, partition, TRAIN)
     if train_rows.size == 0:
         raise ValueError("TRAIN partition is empty")
@@ -403,7 +399,11 @@ def _fortress_core(
                     accepted = (outcome.delta.lo > -cfg.epsilon) and (cv2 < cur_cv)
                 if accepted:
                     cur_mask = without(cur_mask, i)
-                    cur_model = cur_model.with_trees(cur_mask, trees, reused)
+                    # what train() returned, perhaps in a worker; replace keeps
+                    # the weak reference to tm, so later retrains warm-start
+                    cur_model = replace(
+                        cur_model, mask=cur_mask, trees=list(trees), rounds_reused=reused
+                    )
                     cur_scores, cur_cv = scores2, cv2
                 iterations.append(
                     PruneIteration(
@@ -531,40 +531,37 @@ def experiment_table(
     latest snapshot, all features on all snapshots, and the fortress-pruned
     model. Evaluation always happens on the full multi-snapshot TEST rows.
 
+    TEST is checked first; :func:`fortress_run` then checks TRAIN and VAL
+    before any train, and gives the multi-snapshot rows. The single-snapshot
+    models train after it, on one latest row per TRAIN entity.
+
     Raises:
-        ValueError: as :func:`fortress_run`, and before anything is trained
-            for a TEST partition with fewer than 2 entities or no positive
-            row.
+        ValueError: before anything is trained, a TEST partition with fewer
+            than 2 entities or no positive row; then what
+            :func:`fortress_run` raises.
     """
     cfg = config or PipelineConfig()
     sr, _ = feature_groups(dataset.schema)
     if not sr:
         raise ValueError(f"experiment requires at least one {SR_PREFIX}* feature")
     partition = partition_entities(dataset, cfg.fractions, cfg.salt)
-    _scored_entities(dataset, partition, VAL, cv=True)  # before any train; the core rechecks it
     test_entities = _scored_entities(dataset, partition, TEST)
+    run = fortress_run(dataset, cfg, partition)
 
     latest = latest_snapshot_view(dataset)
     y_latest = latest.binary_labels()
     latest_train_rows = rows_in_partition(latest, partition, TRAIN)
-    if latest_train_rows.size == 0:
-        raise ValueError("TRAIN partition is empty in the latest-snapshot view")
     tm_single = TrainMatrix(latest.X[latest_train_rows], y_latest[latest_train_rows])
-
     sr_mask = mask_from_names(dataset.schema, sr)
     log.info("experiment: training single-snapshot models on %d rows", tm_single.n_rows)
     m_sr = train(tm_single, config=cfg.train, mask=sr_mask, schema=dataset.schema)
     m_single = train(tm_single, config=cfg.train, schema=dataset.schema)
 
-    core = _fortress_core(dataset, partition, cfg)
-    m_multi = core.baseline
-    m_fortress = core.model
-
     named = (
         (ROW_SR_ONLY, m_sr),
         (ROW_ALL_SINGLE, m_single),
-        (ROW_ALL_MULTI, m_multi),
-        (ROW_FORTRESS, m_fortress),
+        (ROW_ALL_MULTI, run.baseline),
+        (ROW_FORTRESS, run.model),
     )
     rows = []
     models: dict[str, BoostedModel] = {}
@@ -589,7 +586,7 @@ def experiment_table(
             report.pr_auc.point,
             f"{report.mean_entity_cv.point:.4f}" if report.mean_entity_cv else "n/a",
         )
-    return ExperimentResult(rows=rows, models=models, fortress=core)
+    return ExperimentResult(rows=rows, models=models, fortress=run)
 
 
 __all__ = [

@@ -9,8 +9,12 @@ and only when some selected test actually asks for it.
 
 from __future__ import annotations
 
+import builtins
+import contextlib
+import errno
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,3 +101,36 @@ def assert_no_child():
 def open_fds() -> set[str]:
     """The file descriptors this process has open (needs ``/proc``)."""
     return set(os.listdir("/proc/self/fd"))
+
+
+class _FullDisk:
+    """A file opened for writing whose every write fails, as on a full disk."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+
+    def __getattr__(self, name: str):
+        return getattr(self._fh, name)
+
+    def __enter__(self) -> "_FullDisk":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def write(self, data) -> int:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@contextlib.contextmanager
+def failing_writes():
+    """In the block, a file that ``open`` (or ``Path.open``) opens for
+    writing is opened, and then every write to it fails with ENOSPC."""
+    real = builtins.open
+
+    def opener(file, mode="r", *args, **kwargs):
+        fh = real(file, mode, *args, **kwargs)
+        return _FullDisk(fh) if set(mode) & set("wax+") else fh
+
+    with mock.patch("builtins.open", opener), mock.patch("io.open", opener):
+        yield

@@ -15,7 +15,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from conftest import assert_no_child
+from conftest import assert_no_child, failing_writes
 
 from fortress import cli, data as data_module, pipeline
 from fortress.cli import main
@@ -607,6 +607,16 @@ class TestErrorHandling:
         code = main(["report", str(bad)] if flag == "report" else argv)
         assert code == 1
         assert capsys.readouterr().err.startswith(f"fortress: error: {bad}: not UTF-8 text: ")
+
+    def test_a_failed_write_keeps_the_prior_output(self, workspace, tmp_path, capsys):
+        out = tmp_path / "part.json"
+        out.write_text("prior")
+        with failing_writes():
+            code = main(["split", "--data", str(workspace / "data.csv"), "--out", str(out)])
+        assert code == 2
+        assert "fortress: i/o error" in capsys.readouterr().err
+        assert out.read_text() == "prior"
+        assert [p.name for p in tmp_path.iterdir()] == ["part.json"]
 
     def test_unknown_config_section_exits_1(self, tmp_path, capsys, clean_env):
         cfg = tmp_path / "c.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import datetime
@@ -16,6 +17,7 @@ import signal
 import stat
 import string
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,6 +26,7 @@ from conftest import assert_no_child, open_fds
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fortress
 from fortress import _fork, data as data_module
 from fortress.data import (
     CACHE_SUFFIX,
@@ -664,8 +667,12 @@ class TestChunkedCsv:
              "non-negative integer nor an ISO-8601 date (YYYY-MM-DD)"),
             ("snapshot_ids", "2024-01-01", "int", "cannot write mixed snapshot id types ('0' and '2024-01-01')"),
             ("X", np.inf, "int", "cannot write non-finite value inf of feature 'f_sr_0' for entity 'e2'"),
+            # the header messages are parse_csv's: one rule reads and writes
             ("schema", ("f_sr_0", "eng"), "int",
-             "cannot write feature column 'eng': it must match prefix 'f_' and id charset"),
+             "feature column 'eng' must match prefix 'f_' and id charset"),
+            ("schema", (), "int", "malformed header, expected "
+             "entity_id,snapshot_id,region,label plus at least one f_ column"),
+            ("schema", ("f_a", "f_a"), "int", "duplicate feature column names"),
         ],
     )
     def test_unwritable_dataset_refused_before_the_file_opens(self, tmp_path, column, value, kind, message):
@@ -677,6 +684,7 @@ class TestChunkedCsv:
         }
         if column == "schema":
             fields["schema"] = value
+            fields["X"] = fields["X"][:, :len(value)]
         elif column == "X":
             fields["X"][3, 0] = value
         else:
@@ -926,6 +934,55 @@ class TestReplacingWrite:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert text == _reference_write(toy_dataset())
         assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT"}
+_MODE_RE = re.compile(r"[rwxabt+]+\Z")
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` writes a file: ``write_text``, ``write_bytes`` or
+    ``mkstemp``, or an ``open``, ``os.open``, ``.open`` or ``fdopen`` with a
+    literal write, append, exclusive or update mode, or with ``O_WRONLY``,
+    ``O_RDWR`` or ``O_CREAT``. An ``open`` with ``closefd=False`` wraps a
+    descriptor that stays open elsewhere, such as a pool's pipe, and opens
+    no file."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes", "mkstemp"):
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    if any(k.arg == "closefd" and getattr(k.value, "value", None) is False for k in call.keywords):
+        return False
+    names = {getattr(n, "attr", getattr(n, "id", None)) for arg in call.args for n in ast.walk(arg)}
+    modes = [*call.args, *(k.value for k in call.keywords if k.arg == "mode")]
+    return bool(names & _WRITE_FLAGS) or any(
+        isinstance(m, ast.Constant) and isinstance(m.value, str)
+        and _MODE_RE.match(m.value) and set(m.value) & set("wax+")
+        for m in modes
+    )
+
+
+def _file_writers(path: Path) -> set[str]:
+    """The top-level functions and classes of the module at ``path`` that
+    hold a call that writes a file."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _writes_a_file(node)
+    }
+
+
+def test_replacing_is_the_one_file_writer():
+    """Every output file is written by ``data._replacing``; the dataset
+    sidecar, a file the user never named, by ``data._write_cache``. No other
+    code in the package writes a file."""
+    package = Path(fortress.__file__).parent
+    writers = {(path.name, name)
+               for path in sorted(package.glob("*.py")) for name in _file_writers(path)}
+    assert writers == {("data.py", "_replacing"), ("data.py", "_write_cache")}
 
 
 @contextlib.contextmanager

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import assert_no_child, open_fds
+from conftest import assert_no_child, failing_writes, open_fds
 
 from fortress import _kernels as K
 from fortress import model as model_module
@@ -26,6 +26,7 @@ from fortress.model import (
     Tree,
     deserialize,
     dumps_canonical,
+    load_json,
     load_model,
     log_loss_from_margins,
     loss_curve,
@@ -628,6 +629,23 @@ class TestSerialization:
         path.write_text("{nope")
         with pytest.raises(ValueError, match="invalid JSON"):
             load_model(path)
+
+    @pytest.mark.parametrize("load", [load_json, load_model])
+    def test_a_document_that_is_not_an_object_is_refused_by_file(self, tmp_path, load):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: expected a JSON object"
+
+    def test_a_failed_save_keeps_the_prior_file(self, rng, tmp_path):
+        model = self._trained(rng)
+        path = tmp_path / "model.json"
+        path.write_text("prior")
+        with failing_writes(), pytest.raises(OSError):
+            save_model(model, path)
+        assert path.read_text() == "prior"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 class TestPredictApi:

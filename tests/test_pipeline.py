@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,21 @@ class TestPartitionWithoutPositives:
         message = f"{part} partition has too few entities {counts}"
         with pytest.raises(ValueError, match=re.escape(message)):
             run(trimmed, FAST)
+
+    def test_experiment_checks_test_before_the_fortress_run(self, dataset):
+        relabelled, _ = _without_positives(dataset, VAL)
+        relabelled, counts = _without_positives(relabelled, TEST)
+        message = f"TEST partition has no positive row {counts}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            experiment_table(relabelled, FAST)
+
+    @pytest.mark.parametrize("run", [fortress_run, experiment_table])
+    def test_an_empty_train_partition_is_refused_before_any_train(self, dataset, run):
+        # experiment_table's single-snapshot view keeps one row per entity, so
+        # fortress_run's check covers its TRAIN rows too
+        cfg = replace(FAST, fractions=(0.0, 0.5, 0.5))
+        with pytest.raises(ValueError, match="^TRAIN partition is empty$"):
+            run(dataset, cfg)
 
     @pytest.mark.parametrize("run", [fortress_run, experiment_table])
     def test_val_without_history_is_refused_before_any_train(self, dataset, run):
