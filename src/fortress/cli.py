@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -472,13 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--out", required=True, metavar="CSV", help="output dataset path")
     p.add_argument("--truth", metavar="FILE", help="also write the planted ground truth")
-    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("split", parents=[common], help="partition entities by salted hash")
     p.add_argument("--data", required=True, metavar="CSV")
     p.add_argument("--out", required=True, metavar="FILE")
     _add_split_flags(p)
-    p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("train", parents=[common], help="train one boosted model")
     _add_config_flags(p)
@@ -486,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE", help="model JSON path")
     p.add_argument("--mask", metavar="F1,F2,...", help="restrict to these features")
     _add_scope_flags(p)
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("stability", parents=[common], help="entity/feature instability report")
     p.add_argument("--data", required=True, metavar="CSV")
@@ -497,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"high-CV cohort percentile (default {PipelineConfig.percentile:g})",
     )
     _add_scope_flags(p)
-    p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("prune", parents=[common], help="greedy stability-gated pruning run")
     _add_config_flags(p)
@@ -506,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="FILE", help="also write the full prune trace")
     _add_gate_flags(p)
     _add_scope_flags(p, with_part=False)
-    p.set_defaults(func=_cmd_prune)
 
     p = sub.add_parser("eval", parents=[common], help="PR-AUC and stability evaluation")
     _add_config_flags(p)
@@ -518,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"bootstrap resamples (default {EvalConfig.bootstrap_b})",
     )
     _add_scope_flags(p)
-    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("flipflop", parents=[common], help="admission flip-flop rates")
     p.add_argument("--data", required=True, metavar="CSV")
@@ -535,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="derive tau from this percentile of the (base) model's scores",
     )
     _add_scope_flags(p)
-    p.set_defaults(func=_cmd_flipflop)
 
     p = sub.add_parser("experiment", parents=[common], help="four-way comparison table")
     _add_config_flags(p)
@@ -543,24 +537,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE")
     _add_gate_flags(p)
     _add_split_flags(p)
-    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("report", parents=[common], help="render an artifact as markdown")
     p.add_argument("artifact", metavar="FILE", help="a fortress JSON artifact")
-    p.set_defaults(func=_cmd_report)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: parsing leaves
+    no state on it, and it binds no handler (see :func:`main`)."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    args = _parser().parse_args(argv)
+    # basicConfig adds its stderr handler only to a root logger that has
+    # none, so the level of -v is set on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    logging.getLogger().setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
-        args.func(args)
+        # looked up now, so a wrapper put on a _cmd_* name after the parser
+        # was built (a tracer's, a test's) still runs
+        globals()[f"_cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"fortress: error: {exc}", file=sys.stderr)
         return 1

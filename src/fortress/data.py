@@ -11,8 +11,11 @@ Feature columns are prefixed ``f_``; the prefix after that encodes the feature
 group (for example ``f_sr_*`` for slow-moving semantic-reliability features
 and ``f_eng_*`` for fast-moving engagement features).
 
-The snapshot CSV is read and written in chunks of ``_CHUNK_ROWS`` records,
-so this process's memory beyond the dataset itself stays bounded. Where
+The snapshot CSV is read in chunks of ``_CHUNK_ROWS`` records and written
+in parts of at most ``_PART_CELLS`` feature cells, so this process's memory
+beyond the dataset itself stays bounded. Floats are written as their
+shortest round-trip ``repr``, which ``_floatrepr`` computes in numpy for a
+whole part at once, byte for byte what ``repr`` gives. Where
 ``_fork.worker_count`` allows, ``write_csv`` has the workers of the package's
 one ordered pool, ``_fork.in_order``, format parts of ``_PART_CELLS`` feature
 cells, and writes each part's text to the file in order as it comes back; a
@@ -60,7 +63,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from fortress import _fork
+from fortress import _fork, _floatrepr
 from fortress._config import check_number
 
 log = logging.getLogger(__name__)
@@ -108,10 +111,10 @@ _LABEL_CODES = {l.name: l.value for l in Label}
 _LABEL_NAME_OF = {l.value: l.name for l in Label}
 _LABEL_CODES_TEXT = ", ".join(f"{l.value} ({l.name})" for l in Label)
 
-# Records per CSV read or write chunk. Larger chunks parse no faster but
-# keep more of the file's text alive at once: parsing 3,200 records took
-# about 1 MB more peak RSS at 256 records per chunk and 5 MB more at 1,024
-# than record by record, and the same at 64.
+# Records per CSV read chunk, and the unit write_csv cuts parts in. Larger
+# chunks parse no faster but keep more of the file's text alive at once:
+# parsing 3,200 records took about 1 MB more peak RSS at 256 records per
+# chunk and 5 MB more at 1,024 than record by record, and the same at 64.
 _CHUNK_ROWS = 64
 # The most feature cells in a part of write_csv, the unit one pool worker
 # formats (in whole chunks, at least one). A file of one part is written in
@@ -443,7 +446,7 @@ def build_dataset(
         labels=lab,
         X=Xm,
     )
-    if validate and n > 0:
+    if validate:
         _validate_dataset(ds)
     return ds
 
@@ -894,23 +897,33 @@ def _check_writable(dataset: SnapshotDataset, path: Path) -> None:
 
 def _format_rows(dataset: SnapshotDataset, start: int, stop: int) -> Iterator[bytes]:
     """The CSV lines of rows ``start:stop`` of a dataset that passed
-    :func:`_check_writable`, one block of bytes per ``_CHUNK_ROWS`` rows.
+    :func:`_check_writable`, as one block of bytes.
 
-    Floats are written with their shortest round-trip ``repr``; NaN is an
-    empty cell.
+    Floats are written with their shortest round-trip ``repr``, which
+    :func:`_floatrepr.reprs` gives the rows' cells at once; NaN is an empty
+    cell. The rows are laid out as a byte matrix, a row's other fields and
+    then a 24-byte NUL-padded slot and a separator per feature, and the
+    text is the matrix without the NULs: no field of a writable dataset
+    holds one.
     """
-    for lo in range(start, stop, _CHUNK_ROWS):
-        rows = slice(lo, min(lo + _CHUNK_ROWS, stop))
-        heads = zip(
+    rows = slice(start, stop)
+    heads = np.array([
+        (",".join(head) + ",").encode("utf-8")
+        for head in zip(
             dataset.entity_ids[rows].tolist(),
             dataset.snapshot_ids[rows].tolist(),
             dataset.regions[rows].tolist(),
             map(_LABEL_NAME_OF.__getitem__, dataset.labels[rows].tolist()),
         )
-        yield "".join([
-            ",".join((*head, *["" if v != v else repr(v) for v in x])) + "\n"
-            for head, x in zip(heads, dataset.X[rows].tolist())
-        ]).encode("utf-8")
+    ])
+    n, width, d = heads.size, heads.itemsize, dataset.n_features
+    text = np.empty((n, width + d * (_floatrepr.SLOT + 1)), dtype=np.uint8)
+    text[:, :width] = heads.view(np.uint8).reshape(n, width)
+    cells = text[:, width:].reshape(n, d, _floatrepr.SLOT + 1)
+    cells[:, :, :-1] = _floatrepr.reprs(dataset.X[rows]).view(np.uint8).reshape(n, d, _floatrepr.SLOT)
+    cells[:, :, -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    yield text[text != 0].tobytes()
 
 
 @contextlib.contextmanager
@@ -950,19 +963,21 @@ def _replacing(path: Path) -> Iterator[io.BufferedWriter]:
 def write_csv(dataset: SnapshotDataset, path: str | Path) -> None:
     """Write ``dataset`` to ``path`` in the snapshot CSV contract.
 
-    Floats are written with shortest round-trip repr so that
+    Floats are written with their shortest round-trip ``repr``, computed
+    in numpy (:func:`_floatrepr.reprs`), so that
     ``parse_csv(write_csv(ds)) == ds`` field for field, including missing
-    values. Rows are formatted in chunks of ``_CHUNK_ROWS``.
+    values.
 
-    The rows are cut into the fewest contiguous parts of whole chunks that
-    keep each to at most ``_PART_CELLS`` feature cells, as even as whole
-    chunks allow. :func:`_fork.in_order` formats each part with
-    :func:`_format_rows`, on forked workers where ``_fork.worker_count``
-    allows two or more and there are two or more parts, else in this
-    process; this process writes the header and then the parts in order.
-    So the file is the serial write's, byte for byte, and every worker is
-    reaped before this returns or raises. A regular file is replaced only
-    once every part is written (see :func:`_replacing`).
+    The rows are cut into the fewest contiguous parts of whole chunks of
+    ``_CHUNK_ROWS`` that keep each to at most ``_PART_CELLS`` feature
+    cells, as even as whole chunks allow. :func:`_fork.in_order` formats
+    each part with :func:`_format_rows`, on forked workers where
+    ``_fork.worker_count`` allows two or more and there are two or more
+    parts, else in this process; this process writes the header and then
+    the parts in order. So the file is the serial write's, byte for byte,
+    and every worker is reaped before this returns or raises. A regular
+    file is replaced only once every part is written (see
+    :func:`_replacing`).
 
     Raises:
         ValueError: before the file is opened, if ``parse_csv`` would refuse
@@ -981,6 +996,7 @@ def write_csv(dataset: SnapshotDataset, path: str | Path) -> None:
     def part(k: int) -> bytes:
         return b"".join(_format_rows(dataset, bounds[k], bounds[k + 1]))
 
+    _floatrepr.tables()  # once here, not in each worker
     with _replacing(path) as fh, \
             _fork.in_order(part, range(parts), lambda k: "the CSV formatter") as texts:
         fh.write((",".join(RESERVED_COLUMNS + dataset.schema) + "\n").encode("utf-8"))

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import os
 import re
 import signal
@@ -367,6 +368,50 @@ class TestExperimentCommand:
         ]
         assert main(["report", str(out)]) == 0
         assert "# Experiment" in capsys.readouterr().out
+
+
+class TestMainCalls:
+    """Calls of ``main`` in one process: one parser, and each call's own -v."""
+
+    def _split(self, workspace, out, *flags):
+        return main(["split", *flags, "--data", str(workspace / "data.csv"), "--out", str(out)])
+
+    def test_two_calls_share_one_parser_and_write_the_same_bytes(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        built, real = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert self._split(workspace, out) == 0
+        assert len(built) == 1
+        assert cli._parser() is cli._parser()
+        assert outs[0].read_bytes() == outs[1].read_bytes() == (workspace / "part.json").read_bytes()
+
+    def test_a_handler_wrapped_after_the_parser_was_built_runs(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        assert self._split(workspace, tmp_path / "a.json") == 0
+        calls, real = [], cli._cmd_split
+        monkeypatch.setattr(cli, "_cmd_split", lambda args: calls.append(args.out) or real(args))
+        assert self._split(workspace, tmp_path / "b.json") == 0
+        assert calls == [str(tmp_path / "b.json")]
+
+    def test_each_call_applies_its_own_verbosity(self, workspace, tmp_path, caplog):
+        root = logging.getLogger()
+        level, logged = root.level, []
+        try:
+            # quiet then -v, and -v then quiet, in one process
+            for flags in ([], ["-v"], []):
+                caplog.clear()
+                assert self._split(workspace, tmp_path / "p.json", *flags) == 0
+                logged.append([r.getMessage() for r in caplog.records
+                               if r.name == cli.__name__ and r.levelno == logging.INFO])
+        finally:
+            root.setLevel(level)
+        assert [len(m) for m in logged] == [0, 1, 0]
+        assert logged[1][0].startswith("partition counts: ")
 
 
 class TestGen:

@@ -356,6 +356,14 @@ class TestBuildDataset:
                 start = i
         assert list(ds.index.items()) == list(expected.items())
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_duplicate_feature_names_rejected_with_or_without_rows(self, n):
+        fields = (np.array(["e"] * n), np.array([str(i) for i in range(n)]),
+                  np.array(["r"] * n), np.ones(n, dtype=np.int8), np.zeros((n, 2)))
+        with pytest.raises(ValueError, match="duplicate feature column names in schema"):
+            build_dataset(("f_a", "f_a"), "int", *fields)
+        assert build_dataset(("f_a", "f_a"), "int", *fields, validate=False).schema == ("f_a", "f_a")
+
     def test_shape_mismatches_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             build_dataset(
